@@ -93,6 +93,7 @@ from .symplectic_lattices import (
     sp_type_membership,
     standard_gram,
     standard_space,
+    symplectic_inverse,
     type_of,
 )
 from .uduality import (

@@ -305,6 +305,8 @@ def _cmd_uduality(args):
         )
         return EXIT_OK
     if args.action == "centralizer":
+        if args.bound < 1:
+            raise ParseError("bound must be at least 1")
         h = jsonio.decode_holonomy(data)
         found = centralizer_enumerate(h, bound=args.bound, budget=args.budget)
         _emit(

@@ -8,10 +8,20 @@ the package is validated against.
 Smith normal form follows a fixed pivot rule (smallest absolute value,
 scanning rows then columns) so its output is deterministic for a given
 input.
+
+Validation contract: an ``IntegerMatrix`` is validated once, when it is
+built by its public constructor (rectangular, nonempty, every entry an
+``Integral``). Closed operations (``+``, ``-``, negation, products with
+matrices and ints, transpose, Kronecker products) and the Smith normal
+form outputs compute int entries from already validated ints, so they
+build their results through the private trusted constructor
+``IntegerMatrix._trusted`` and skip the per-entry checks.
 """
 
 from fractions import Fraction
+from math import lcm
 from numbers import Integral
+from operator import mul
 
 
 class IntegerMatrix:
@@ -20,7 +30,9 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, entries):
-        rows = [tuple(int(x) for x in row) for row in entries]
+        # Materialise the rows once: ``entries`` (or a row) may be a
+        # generator, which a second pass would find empty.
+        rows = [tuple(row) for row in entries]
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
@@ -28,24 +40,38 @@ class IntegerMatrix:
             raise ValueError("matrix needs at least one column")
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        for row in entries:
+        for row in rows:
             for x in row:
-                if not isinstance(x, Integral):
+                if type(x) is not int and not isinstance(x, Integral):
                     raise ValueError(f"non-integer entry {x!r}")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_entries", tuple(rows))
+        _init(self, tuple(tuple(int(x) for x in r) for r in rows))
+
+    @classmethod
+    def _trusted(cls, entries):
+        """Wrap a nonempty rectangular tuple of int tuples without checks.
+
+        Only for entries computed from validated matrices and ints.
+        """
+        m = object.__new__(cls)
+        _init(m, entries)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegerMatrix is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix needs at least one row")
+        return cls._trusted(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix needs at least one row and column")
+        return cls._trusted(((0,) * cols,) * rows)
 
     @classmethod
     def diagonal(cls, diag):
@@ -55,7 +81,7 @@ class IntegerMatrix:
 
     @classmethod
     def column(cls, vec):
-        return cls([[int(x)] for x in vec])
+        return cls([[x] for x in vec])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -84,35 +110,40 @@ class IntegerMatrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return IntegerMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
+        return IntegerMatrix._trusted(
+            tuple(
+                tuple([a + b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self._entries, other._entries)
-            ]
+            )
         )
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return IntegerMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
+        return IntegerMatrix._trusted(
+            tuple(
+                tuple([a - b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self._entries, other._entries)
-            ]
+            )
         )
 
     def __neg__(self):
-        return IntegerMatrix([[-a for a in r] for r in self._entries])
+        return IntegerMatrix._trusted(
+            tuple(tuple([-a for a in r]) for r in self._entries)
+        )
 
     def __mul__(self, other):
         if isinstance(other, Integral):
-            return IntegerMatrix([[a * other for a in r] for r in self._entries])
+            other = int(other)
+            return IntegerMatrix._trusted(
+                tuple(tuple([a * other for a in r]) for r in self._entries)
+            )
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise _dim(f"cannot multiply {self.shape()} by {other.shape()}")
-        bt = list(zip(*other._entries))
-        return IntegerMatrix(
-            [[_dot(r, c) for c in bt] for r in self._entries]
+        bt = tuple(zip(*other._entries))
+        return IntegerMatrix._trusted(
+            tuple(tuple([_dot(r, c) for c in bt]) for r in self._entries)
         )
 
     __rmul__ = __mul__
@@ -121,13 +152,19 @@ class IntegerMatrix:
         return (self.rows, self.cols)
 
     def transpose(self):
-        return IntegerMatrix([list(c) for c in zip(*self._entries)])
+        return IntegerMatrix._trusted(tuple(zip(*self._entries)))
 
     def apply(self, vec):
         """Matrix times column vector of ints or Fractions."""
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise _dim("vector length does not match column count")
+        if all(type(x) is Fraction for x in vec):
+            # Over a common denominator: integer dot products and one
+            # Fraction per output entry instead of one per term.
+            den = lcm(*(x.denominator for x in vec))
+            nums = [x.numerator * (den // x.denominator) for x in vec]
+            return tuple(Fraction(_dot(row, nums), den) for row in self._entries)
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self._entries)
 
     def is_square(self):
@@ -141,11 +178,13 @@ class IntegerMatrix:
 
     def kronecker(self, other):
         """Kronecker product, used to assemble Sylvester-type systems."""
-        out = []
-        for ra in self._entries:
-            for rb in other._entries:
-                out.append([a * b for a in ra for b in rb])
-        return IntegerMatrix(out)
+        return IntegerMatrix._trusted(
+            tuple(
+                tuple([a * b for a in ra for b in rb])
+                for ra in self._entries
+                for rb in other._entries
+            )
+        )
 
     def _check_same_shape(self, other):
         if self.shape() != other.shape():
@@ -245,8 +284,14 @@ class SnfDecomposition:
         return tuple(d for d in self.diagonal() if d != 0)
 
 
+def _init(m, entries):
+    object.__setattr__(m, "rows", len(entries))
+    object.__setattr__(m, "cols", len(entries[0]))
+    object.__setattr__(m, "_entries", entries)
+
+
 def _dot(r, c):
-    return sum(a * b for a, b in zip(r, c))
+    return sum(map(mul, r, c))
 
 
 def _dim(msg):
@@ -352,7 +397,9 @@ def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
 
-    return SnfDecomposition(IntegerMatrix(U), IntegerMatrix(A), IntegerMatrix(V))
+    return SnfDecomposition(
+        *(IntegerMatrix._trusted(tuple(map(tuple, X))) for X in (U, A, V))
+    )
 
 
 def kernel_lattice(a: IntegerMatrix) -> list:

@@ -26,7 +26,7 @@ from .exact_linalg import (
     rational_solve_many,
     smith_normal_form,
 )
-from .symplectic_lattices import LatticeType, sp_type_membership
+from .symplectic_lattices import LatticeType, sp_type_membership, symplectic_inverse
 
 
 class TwistedComplex:
@@ -159,11 +159,30 @@ class TwistedComplex:
 
     def word_holonomy(self, f):
         """Ordered product of boundary transports around 2-cell f."""
+        return self._holonomy(f, _inverter(self))
+
+    def _holonomy(self, f, inverse):
         hol = IntegerMatrix.identity(self.coeff_rank)
         for e, s in self.attaching_word(f):
             g = self.transports[e]
-            hol = (g if s == 1 else inverse_unimodular(g)) * hol
+            hol = (g if s == 1 else inverse(g)) * hol
         return hol
+
+
+def _inverter(c: TwistedComplex):
+    """Inverse for products of c's transports.
+
+    When every transport lies in Sp_t(2n, Z), so does every product, and
+    the closed form applies; otherwise fall back to the SNF inverse.
+    """
+    t = c.type
+    try:
+        closed = all(sp_type_membership(g, t) for g in c.transports)
+    except DimensionMismatch:
+        closed = False
+    if closed:
+        return lambda g: symplectic_inverse(g, t)
+    return inverse_unimodular
 
 
 class LocalSystemReport:
@@ -216,6 +235,10 @@ def validate_local_system(c: TwistedComplex) -> LocalSystemReport:
     word_failures = []
     ident = IntegerMatrix.identity(c.coeff_rank)
     if c.dimension >= 2 and not transport_failures:
+        # Every transport is in Sp_t(2n, Z): invert in closed form.
+        def inverse(g):
+            return symplectic_inverse(g, c.type)
+
         for f in range(c.cells[2]):
             try:
                 word = c.attaching_word(f)
@@ -236,7 +259,7 @@ def validate_local_system(c: TwistedComplex) -> LocalSystemReport:
                     )
                     break
             else:
-                if c.word_holonomy(f) != ident:
+                if c._holonomy(f, inverse) != ident:
                     flatness_failures.append({"face": f})
     return LocalSystemReport(
         boundary_failures, transport_failures, flatness_failures, word_failures
@@ -264,6 +287,7 @@ def twisted_differential(c: TwistedComplex, k: int) -> IntegerMatrix:
             for i in range(N):
                 rows[N * e + i][N * t + i] -= 1
     elif k == 1 and not c.is_untwisted():
+        inverse = _inverter(c)
         for f in range(c.cells[2]):
             word = c.attaching_word(f)
             g = IntegerMatrix.identity(N)
@@ -271,12 +295,12 @@ def twisted_differential(c: TwistedComplex, k: int) -> IntegerMatrix:
                 rho = c.transports[e]
                 if s == 1:
                     g = rho * g
-                    block = inverse_unimodular(g)
+                    block = inverse(g)
                     _block_insert(rows, block.to_lists(), N * f, N * e)
                 else:
-                    block = -inverse_unimodular(g)
+                    block = -inverse(g)
                     _block_insert(rows, block.to_lists(), N * f, N * e)
-                    g = inverse_unimodular(rho) * g
+                    g = inverse(rho) * g
     else:
         b = c.boundaries[k].to_lists()
         for j in range(c.cells[k + 1]):
@@ -285,7 +309,7 @@ def twisted_differential(c: TwistedComplex, k: int) -> IntegerMatrix:
                 if v != 0:
                     for r in range(N):
                         rows[N * j + r][N * i + r] += v
-    return IntegerMatrix(rows)
+    return IntegerMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def _checked_differentials(c: TwistedComplex):

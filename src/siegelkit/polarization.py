@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveY,
     NotSymplectic,
 )
-from .exact_linalg import IntegerMatrix
+from .exact_linalg import IntegerMatrix, rational_solve_many
 
 POSITIVITY_CONVENTION = "omega(xi, J xi) > 0, i.e. Q = Omega @ J positive definite"
 
@@ -241,17 +241,20 @@ def taming_from_siegel_point(Z: SiegelPoint, omega: IntegerMatrix) -> Taming:
 def push_forward_taming(gamma: IntegerMatrix, taming: Taming) -> Taming:
     """Push a taming forward along a symplectic transformation: J -> gamma J gamma^{-1}.
 
-    The inverse is taken exactly over Z; the validation tolerance is
-    widened by the conditioning of gamma, since conjugation amplifies
-    float error quadratically.
+    The inverse is exact and in closed form: gamma^T Omega gamma = Omega
+    gives gamma^{-1} = Omega^{-1} gamma^T Omega, one exact solve against
+    Omega. The validation tolerance is widened by the conditioning of
+    gamma, since conjugation amplifies float error quadratically.
     """
-    from .exact_linalg import inverse_unimodular
-
     om = taming.omega
-    if gamma.transpose() * om * gamma != om:
+    gt_om = gamma.transpose() * om
+    if gt_om * gamma != om:
         raise NotSymplectic("gamma does not preserve the symplectic Gram matrix")
     G = _as_float(gamma)
-    Ginv = _as_float(inverse_unimodular(gamma))
+    inverse_columns = rational_solve_many(
+        om.to_lists(), [gt_om.column_vector(j) for j in range(gt_om.cols)]
+    )
+    Ginv = np.array(inverse_columns, dtype=float).T
     J = G @ taming.J @ Ginv
     cond = max(1.0, float(np.max(np.abs(G))) * float(np.max(np.abs(Ginv))))
     return Taming(J, om, tol=max(taming.tol, DEFAULT_TOL) * cond * cond)

@@ -7,13 +7,17 @@ standard symplectic lattice, so reduction modulo the lattice is
 componentwise reduction modulo 1. The multiplication rule is
 
     (a1, gamma1) (a2, gamma2) = (a1 + gamma1 a2, gamma1 gamma2).
+
+The public constructor tests the rotation for membership in
+Sp_t(2n, Z). Products and inverses of members are members, so the group
+law builds its results without repeating that test.
 """
 
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotSymplectic, TypeMismatch
-from .exact_linalg import IntegerMatrix, inverse_unimodular
-from .symplectic_lattices import LatticeType, sp_type_membership
+from .exact_linalg import IntegerMatrix
+from .symplectic_lattices import LatticeType, sp_type_membership, symplectic_inverse
 
 
 def reduce_mod_lattice(coords):
@@ -65,17 +69,22 @@ class AffineSymplectomorphism:
             )
         if not sp_type_membership(rotation, type):
             raise NotSymplectic("rotation part is not in the Siegel modular group")
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "type", type)
+        _init(self, translation, rotation, type)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSymplectomorphism is immutable")
 
     @classmethod
+    def _trusted(cls, translation, rotation: IntegerMatrix, type: LatticeType):
+        """Build from a rotation known to lie in Sp_t(2n, Z), without retesting."""
+        x = object.__new__(cls)
+        _init(x, reduce_mod_lattice(translation), rotation, type)
+        return x
+
+    @classmethod
     def identity(cls, type: LatticeType):
         n2 = 2 * type.n
-        return cls((Fraction(0),) * n2, IntegerMatrix.identity(n2), type)
+        return cls._trusted((Fraction(0),) * n2, IntegerMatrix.identity(n2), type)
 
     def is_translation(self):
         return self.rotation == IntegerMatrix.identity(2 * self.type.n)
@@ -98,6 +107,12 @@ class AffineSymplectomorphism:
         )
 
 
+def _init(x, translation, rotation, type):
+    object.__setattr__(x, "translation", translation)
+    object.__setattr__(x, "rotation", rotation)
+    object.__setattr__(x, "type", type)
+
+
 def _check_types(x, y):
     if x.type != y.type:
         raise TypeMismatch(
@@ -112,14 +127,16 @@ def aff_compose(
     _check_types(x, y)
     moved = x.rotation.apply(y.translation)
     translation = tuple(a + b for a, b in zip(x.translation, moved))
-    return AffineSymplectomorphism(translation, x.rotation * y.rotation, x.type)
+    return AffineSymplectomorphism._trusted(
+        translation, x.rotation * y.rotation, x.type
+    )
 
 
 def aff_inverse(x: AffineSymplectomorphism) -> AffineSymplectomorphism:
-    """Inverse (-gamma^{-1} a, gamma^{-1}); gamma unimodular, so exact."""
-    inv = inverse_unimodular(x.rotation)
+    """Inverse (-gamma^{-1} a, gamma^{-1}) via the closed-form symplectic inverse."""
+    inv = symplectic_inverse(x.rotation, x.type)
     translation = tuple(-c for c in inv.apply(x.translation))
-    return AffineSymplectomorphism(translation, inv, x.type)
+    return AffineSymplectomorphism._trusted(translation, inv, x.type)
 
 
 def aff_act(x: AffineSymplectomorphism, p: TorusPoint) -> TorusPoint:

@@ -6,7 +6,13 @@ Gram matrix is an integer antisymmetric nondegenerate matrix and
 (t_1 | t_2 | ... | t_n) classifies such lattices up to symplectomorphism;
 it is computed by an exact symplectic analogue of Smith reduction and
 cross-checked against the SNF oracle in the test suite.
+
+Membership in Sp_t(2n, Z) and inverses of its elements are evaluated in
+closed form from the diagonal of t, without building Omega_t or taking
+determinants.
 """
+
+from operator import mul
 
 from .errors import (
     DegenerateForm,
@@ -17,7 +23,6 @@ from .exact_linalg import (
     IntegerMatrix,
     determinant,
     inverse_unimodular,
-    is_unimodular,
 )
 
 
@@ -68,7 +73,7 @@ def standard_gram(t: LatticeType) -> IntegerMatrix:
     for i, ti in enumerate(t.entries):
         g[i][n + i] = ti
         g[n + i][i] = -ti
-    return IntegerMatrix(g)
+    return IntegerMatrix._trusted(tuple(map(tuple, g)))
 
 
 class IntegralSymplecticSpace:
@@ -202,9 +207,8 @@ def frobenius_basis(space: IntegralSymplecticSpace) -> FrobeniusBasis:
         # loop invariant here: columns [0, 2*stage+2) are finished
     # Reorder (l1, m1, l2, m2, ...) into (l1, ..., ln, m1, ..., mn).
     perm = [2 * i for i in range(space.n)] + [2 * i + 1 for i in range(space.n)]
-    Pm = IntegerMatrix(P)
-    reordered = IntegerMatrix(
-        [[Pm[r, perm[c]] for c in range(m)] for r in range(m)]
+    reordered = IntegerMatrix._trusted(
+        tuple(tuple(row[perm[c]] for c in range(m)) for row in P)
     )
     return FrobeniusBasis(reordered, LatticeType(pair_values))
 
@@ -214,20 +218,74 @@ def type_of(space: IntegralSymplecticSpace) -> LatticeType:
     return frobenius_basis(space).type
 
 
-def sp_type_membership(gamma: IntegerMatrix, t: LatticeType) -> bool:
-    """Whether gamma preserves the standard lattice of type t and its pairing.
-
-    In Frobenius coordinates this is: integer unimodular and
-    gamma^T Omega_t gamma = Omega_t.
-    """
+def _check_size(gamma: IntegerMatrix, t: LatticeType):
     if not gamma.is_square() or gamma.rows != 2 * t.n:
         raise DimensionMismatch(
             f"expected a {2 * t.n}x{2 * t.n} matrix, got {gamma.shape()}"
         )
-    if not is_unimodular(gamma):
-        return False
-    omega = standard_gram(t)
-    return gamma.transpose() * omega * gamma == omega
+
+
+def sp_type_membership(gamma: IntegerMatrix, t: LatticeType) -> bool:
+    """Whether gamma preserves the standard lattice of type t and its pairing.
+
+    In Frobenius coordinates this is: integer unimodular and
+    gamma^T Omega_t gamma = Omega_t. The pairing test alone decides it:
+    taking determinants gives det(gamma)^2 det(Omega_t) = det(Omega_t),
+    and det(Omega_t) = (t_1 ... t_n)^2 is nonzero, so det(gamma) = +-1
+    and an integer gamma is unimodular.
+
+    The pairing omega(c_i, c_j) = sum_k t_k (a_ik b_jk - b_ik a_jk) of
+    every column pair, with a and b the top and bottom halves of the
+    columns, is compared with Omega_t on the upper triangle only (both
+    sides are antisymmetric), stopping at the first mismatch.
+    """
+    _check_size(gamma, t)
+    n = t.n
+    ts = t.entries
+    cols = list(zip(*(gamma.row(i) for i in range(2 * n))))
+    tops = [c[:n] for c in cols]
+    bottoms = [c[n:] for c in cols]
+    for i, (a_i, b_i) in enumerate(zip(tops, bottoms)):
+        ta_i = tuple(map(mul, ts, a_i))
+        tb_i = tuple(map(mul, ts, b_i))
+        for j in range(i + 1, 2 * n):
+            pairing = sum(map(mul, ta_i, bottoms[j])) - sum(map(mul, tb_i, tops[j]))
+            if pairing != (ts[i] if j == i + n else 0):
+                return False
+    return True
+
+
+def symplectic_inverse(gamma: IntegerMatrix, t: LatticeType) -> IntegerMatrix:
+    """Inverse Omega_t^{-1} gamma^T Omega_t of an element of Sp_t(2n, Z).
+
+    Precondition: ``sp_type_membership(gamma, t)``. It is not retested;
+    on other matrices the result is meaningless. From
+    gamma^T Omega_t gamma = Omega_t, with gamma = [[A, B], [C, D]] in
+    n x n blocks and T = diag(t),
+
+        gamma^{-1} = [[T^-1 D^T T, -T^-1 B^T T], [-T^-1 C^T T, T^-1 A^T T]],
+
+    so entry (i, j) is +-gamma[j', i'] * s_j / s_i, where ' swaps the
+    two halves, s = (t, t), and the sign is minus across halves. The
+    division is exact because the inverse of a unimodular matrix is
+    integral.
+    """
+    _check_size(gamma, t)
+    n = t.n
+    m = 2 * n
+    s = t.entries * 2
+    rows = [gamma.row(i) for i in range(m)]
+    swap = [(i + n) % m for i in range(m)]
+    return IntegerMatrix._trusted(
+        tuple(
+            tuple(
+                (1 if (i < n) == (j < n) else -1)
+                * (rows[swap[j]][swap[i]] * s[j] // s[i])
+                for j in range(m)
+            )
+            for i in range(m)
+        )
+    )
 
 
 def lattice_isomorphism(a: IntegralSymplecticSpace, b: IntegralSymplecticSpace):

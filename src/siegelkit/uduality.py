@@ -256,7 +256,9 @@ def _symplectic_box(t: LatticeType, bound: int, budget):
     out = []
     cells = range(-bound, bound + 1)
     for flat in itertools.product(cells, repeat=m * m):
-        cand = IntegerMatrix([list(flat[i * m : (i + 1) * m]) for i in range(m)])
+        cand = IntegerMatrix._trusted(
+            tuple(flat[i * m : (i + 1) * m] for i in range(m))
+        )
         if sp_type_membership(cand, t):
             out.append(cand)
     return out

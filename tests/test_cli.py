@@ -100,6 +100,18 @@ def test_budget_exit_three():
     assert proc.returncode == 3
 
 
+def test_centralizer_bound_zero_exit_one():
+    payload = {
+        "generators": [jsonio.encode_integer_matrix(IntegerMatrix([[1, 1], [0, 1]]))],
+        "t": [1],
+    }
+    proc = run_cli(["uduality", "centralizer", "--bound", "0"], payload)
+    assert proc.returncode == 1
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"error": "bound must be at least 1"}
+    assert "Traceback" not in proc.stderr
+
+
 def test_selftest_deterministic():
     a = run_cli(["selftest", "--seed", "7"])
     b = run_cli(["selftest", "--seed", "7"])

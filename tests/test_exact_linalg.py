@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from siegelkit.errors import DimensionMismatch, NotUnimodular
@@ -134,3 +136,62 @@ def test_immutability():
     A = IntegerMatrix([[1]])
     with pytest.raises(AttributeError):
         A.rows = 2
+
+
+def test_generator_input_is_validated():
+    """Generators are consumed once; a float entry is refused, not truncated."""
+    with pytest.raises(ValueError):
+        IntegerMatrix(row for row in [[1.7, 1], [0, 1]])
+    with pytest.raises(ValueError):
+        IntegerMatrix((x for x in row) for row in [[1, 1], [0, 1.5]])
+    with pytest.raises(ValueError):
+        IntegerMatrix.column([1.5, 2])
+    m = IntegerMatrix((x for x in row) for row in [[2, 1], [0, 1]])
+    assert m == IntegerMatrix([[2, 1], [0, 1]])
+    assert IntegerMatrix(iter([[np.int64(3)]]))[0, 0] == 3
+    assert type(IntegerMatrix([[np.int64(3), True]])[0, 1]) is int
+
+
+def test_closed_operations_match_validated_construction():
+    """Trusted results equal the same entries passed through the constructor."""
+    rng = random.Random(41)
+    for _ in range(200):
+        r, k, c = (rng.randint(1, 4) for _ in range(3))
+        A = IntegerMatrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)])
+        A2 = IntegerMatrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)])
+        B = IntegerMatrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)])
+        la, la2, lb = A.to_lists(), A2.to_lists(), B.to_lists()
+        assert A * B == IntegerMatrix(
+            [[sum(la[i][q] * lb[q][j] for q in range(k)) for j in range(c)]
+             for i in range(r)]
+        )
+        assert A + A2 == IntegerMatrix(
+            [[la[i][j] + la2[i][j] for j in range(k)] for i in range(r)]
+        )
+        assert A - A2 == IntegerMatrix(
+            [[la[i][j] - la2[i][j] for j in range(k)] for i in range(r)]
+        )
+        assert -A == IntegerMatrix([[-x for x in row] for row in la])
+        assert A.transpose() == IntegerMatrix([list(col) for col in zip(*la)])
+        assert A.kronecker(B) == IntegerMatrix(
+            [[la[i][j] * lb[p][q] for j in range(k) for q in range(c)]
+             for i in range(r) for p in range(k)]
+        )
+        vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)]
+        image = A.apply(vec)
+        assert image == tuple(sum(la[i][q] * vec[q] for q in range(k)) for i in range(r))
+        assert all(type(x) is Fraction for x in image)
+        scaled = A * np.int64(3)
+        assert scaled == IntegerMatrix([[3 * x for x in row] for row in la])
+        assert all(type(x) is int for i in range(r) for x in scaled.row(i))
+        snf = smith_normal_form(A)
+        for X in (snf.U, snf.S, snf.V):
+            assert X == IntegerMatrix(X.to_lists())
+
+
+def test_identity_and_zeros_need_positive_size():
+    with pytest.raises(ValueError):
+        IntegerMatrix.identity(0)
+    with pytest.raises(ValueError):
+        IntegerMatrix.zeros(2, 0)
+    assert IntegerMatrix.zeros(2, 3) == IntegerMatrix([[0, 0, 0], [0, 0, 0]])

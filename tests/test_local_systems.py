@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from siegelkit.errors import InvalidComplex, NotACocycle
-from siegelkit.exact_linalg import IntegerMatrix, smith_normal_form
+from siegelkit.exact_linalg import IntegerMatrix, inverse_unimodular, smith_normal_form
 from siegelkit.local_systems import (
     ChargeClass,
     TwistedComplex,
@@ -81,6 +81,25 @@ def test_validate_bad_transport():
     bad = IntegerMatrix([[2, 0], [0, 1]])
     report = validate_local_system(circle_complex(bad, T1))
     assert report.transport_failures == [{"edge": 0}]
+
+
+def test_word_holonomy_matches_snf_inverses():
+    """Closed-form inverses for Sp_t transports, SNF inverses for the rest."""
+    rng = random.Random(12)
+    flip = IntegerMatrix([[1, 0], [0, -1]])  # unimodular, reverses the pairing
+    for _ in range(20):
+        a, b = random_sl2z(rng), random_sl2z(rng)
+        for g1, g2 in ((a, b), (flip * a, b)):
+            c = two_torus_complex(g1, g2, T1)
+            expected = inverse_unimodular(g2) * inverse_unimodular(g1) * g2 * g1
+            assert c.word_holonomy(0) == expected
+            # Letters e0, e1, e0^-1, e1^-1 give edge 1 the d1 block
+            # (g2 g1)^-1 - (g1^-1 g2 g1)^-1.
+            block = inverse_unimodular(g2 * g1) - inverse_unimodular(
+                inverse_unimodular(g1) * g2 * g1
+            )
+            d1 = twisted_differential(c, 1)
+            assert [list(d1.row(i)[2:4]) for i in range(2)] == block.to_lists()
 
 
 def test_circle_trivial_coefficients():

@@ -15,7 +15,11 @@ from siegelkit.siegel_group import (
     apply_to_lift,
     lattice_rep,
 )
-from siegelkit.symplectic_lattices import LatticeType, standard_gram
+from siegelkit.symplectic_lattices import (
+    LatticeType,
+    sp_type_membership,
+    standard_gram,
+)
 
 T1 = LatticeType((1,))
 I2 = IntegerMatrix.identity(2)
@@ -171,3 +175,16 @@ def test_type_mismatch_errors():
         aff_compose(x, y)
     with pytest.raises(TypeMismatch):
         aff_act(x, TorusPoint([0, 0], LatticeType((2,))))
+
+
+def test_group_law_results_pass_public_membership_sweep():
+    """aff_compose and aff_inverse skip the retest; their results still pass it."""
+    rng = random.Random(2026)
+    for entries in ((1,), (3,), (1, 1), (1, 2), (2, 6), (1, 1, 1), (1, 2, 4)):
+        t = LatticeType(entries)
+        for _ in range(25):
+            x, y = _random_aff(rng, t), _random_aff(rng, t)
+            for z in (aff_compose(x, y), aff_inverse(x), aff_inverse(aff_compose(y, x))):
+                assert sp_type_membership(z.rotation, t)
+                assert AffineSymplectomorphism(z.translation, z.rotation, t) == z
+                assert all(0 <= c < 1 for c in z.translation)

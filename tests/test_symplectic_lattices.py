@@ -3,8 +3,17 @@ import random
 import pytest
 
 from siegelkit.errors import DegenerateForm, DimensionMismatch, NotAntisymmetric
-from siegelkit.exact_linalg import IntegerMatrix, smith_normal_form
-from siegelkit.sampling import random_lattice_type, random_unimodular
+from siegelkit.exact_linalg import (
+    IntegerMatrix,
+    inverse_unimodular,
+    is_unimodular,
+    smith_normal_form,
+)
+from siegelkit.sampling import (
+    random_lattice_type,
+    random_sp_t_element,
+    random_unimodular,
+)
 from siegelkit.symplectic_lattices import (
     IntegralSymplecticSpace,
     LatticeType,
@@ -13,8 +22,15 @@ from siegelkit.symplectic_lattices import (
     sp_type_membership,
     standard_gram,
     standard_space,
+    symplectic_inverse,
     type_of,
 )
+
+# Principal and non-principal types for n = 1, 2, 3.
+SWEEP_TYPES = [
+    LatticeType(e)
+    for e in ((1,), (3,), (1, 1), (1, 2), (2, 6), (1, 1, 1), (1, 2, 4), (1, 3, 6))
+]
 
 
 def test_lattice_type_validation():
@@ -137,3 +153,56 @@ def test_isomorphism_type_mismatch_absent():
     assert lattice_isomorphism(a, b) is None
     with pytest.raises(DimensionMismatch):
         lattice_isomorphism(a, standard_space(LatticeType((1, 1))))
+
+
+def _membership_by_definition(gamma, t):
+    """Unimodular and gamma^T Omega_t gamma == Omega_t, by full products."""
+    omega = standard_gram(t)
+    return is_unimodular(gamma) and gamma.transpose() * omega * gamma == omega
+
+
+def _near_misses(rng, gamma, t):
+    n = t.n
+    yield gamma * 2
+    rows = gamma.to_lists()
+    rows[rng.randrange(2 * n)][rng.randrange(2 * n)] += rng.choice([-1, 1])
+    yield IntegerMatrix(rows)
+    # A member of another type of the same rank.
+    other = LatticeType(t.entries[:-1] + (2 * t.entries[-1],))
+    yield random_sp_t_element(rng, other, steps=6)
+    yield random_sp_t_element(rng, LatticeType.principal(n), steps=6)
+    # diag(I, -I) sends Omega_t to -Omega_t: unimodular but antisymplectic.
+    flip = IntegerMatrix.diagonal([1] * n + [-1] * n)
+    yield flip * gamma
+    yield gamma * flip
+    yield random_unimodular(rng, 2 * n, steps=10, entry_bound=9)
+
+
+def test_membership_matches_definition_sweep():
+    """Closed-form membership agrees with the product-and-determinant definition."""
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for t in SWEEP_TYPES:
+        for _ in range(40):
+            gamma = random_sp_t_element(rng, t, steps=6)
+            assert sp_type_membership(gamma, t)
+            assert _membership_by_definition(gamma, t)
+            for cand in _near_misses(rng, gamma, t):
+                got = sp_type_membership(cand, t)
+                assert got == _membership_by_definition(cand, t)
+                verdicts[got] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 1000
+
+
+def test_symplectic_inverse_matches_snf_inverse_sweep():
+    rng = random.Random(2025)
+    for t in SWEEP_TYPES:
+        ident = IntegerMatrix.identity(2 * t.n)
+        for _ in range(40):
+            gamma = random_sp_t_element(rng, t, steps=6)
+            inv = symplectic_inverse(gamma, t)
+            assert inv == inverse_unimodular(gamma)
+            assert inv * gamma == ident
+            assert sp_type_membership(inv, t)
+    with pytest.raises(DimensionMismatch):
+        symplectic_inverse(IntegerMatrix.identity(3), LatticeType((1,)))
