@@ -25,7 +25,6 @@ from .errors import (
 )
 from .exact_linalg import (
     IntegerMatrix,
-    RationalMatrix,
     SnfDecomposition,
     determinant,
     inverse_unimodular,
@@ -44,7 +43,6 @@ from .field_calculus import (
     hodge_star_matrix,
     inner_contraction,
     maxwell_residual,
-    polarized_star,
     project_selfdual,
     scalar_rhs,
     twisted_pairing,

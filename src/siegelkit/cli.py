@@ -304,9 +304,9 @@ def _cmd_uduality(args):
             },
         )
         return EXIT_OK
+    if args.action in ("centralizer", "fiber-product") and args.bound < 1:
+        raise ParseError("bound must be at least 1")
     if args.action == "centralizer":
-        if args.bound < 1:
-            raise ParseError("bound must be at least 1")
         h = jsonio.decode_holonomy(data)
         found = centralizer_enumerate(h, bound=args.bound, budget=args.budget)
         _emit(
@@ -417,12 +417,11 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
         return EXIT_BUDGET
     except SiegelKitError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": str(exc), "kind": type(exc).__name__}, sort_keys=True
-            )
-            + "\n"
-        )
+        payload = {"error": str(exc), "kind": type(exc).__name__}
+        report = getattr(exc, "report", None)
+        if report is not None:
+            payload["report"] = report
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_VALIDATION
 
 

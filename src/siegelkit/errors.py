@@ -46,7 +46,15 @@ class InvalidFundamentalForm(SiegelKitError):
 
 
 class InvalidComplex(SiegelKitError):
-    """A twisted complex violates boundary, flatness or transport axioms."""
+    """A twisted complex violates boundary, flatness or transport axioms.
+
+    ``report`` is the failing validation report as a dict, or None when
+    the complex was refused before it could be validated.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NotACocycle(SiegelKitError):

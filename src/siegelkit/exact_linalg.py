@@ -1,7 +1,7 @@
 """Arbitrary-precision integer and rational linear algebra.
 
 Everything in this module is exact: integer matrices hold Python ints
-(no overflow by construction), rational matrices hold ``Fraction``
+(no overflow by construction), rational routines work on ``Fraction``
 entries, and the normal-form routines below are the oracles the rest of
 the package is validated against.
 
@@ -189,69 +189,6 @@ class IntegerMatrix:
     def _check_same_shape(self, other):
         if self.shape() != other.shape():
             raise _dim(f"shape mismatch {self.shape()} vs {other.shape()}")
-
-
-class RationalMatrix:
-    """Immutable dense matrix over Q; entries are ``Fraction`` (lowest terms)."""
-
-    __slots__ = ("rows", "cols", "_entries")
-
-    def __init__(self, entries):
-        rows = [tuple(Fraction(x) for x in row) for row in entries]
-        if not rows or len(rows[0]) == 0:
-            raise ValueError("matrix must be nonempty")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_entries", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def from_integer(cls, m):
-        return cls(m.to_lists())
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self._entries[i][j]
-
-    def to_lists(self):
-        return [list(r) for r in self._entries]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash(self._entries)
-
-    def __repr__(self):
-        return f"RationalMatrix({self.to_lists()!r})"
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise _dim(f"cannot multiply {self.shape()} by {other.shape()}")
-        bt = list(zip(*other._entries))
-        return RationalMatrix([[_dot(r, c) for c in bt] for r in self._entries])
-
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def transpose(self):
-        return RationalMatrix([list(c) for c in zip(*self._entries)])
-
-    def apply(self, vec):
-        vec = tuple(Fraction(x) for x in vec)
-        if len(vec) != self.cols:
-            raise _dim("vector length does not match column count")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self._entries)
 
 
 class SnfDecomposition:
@@ -506,14 +443,6 @@ def rational_inverse(entries):
     if piv[:n] != list(range(n)):
         raise ValueError("matrix is singular over Q")
     return [row[n:] for row in R[:n]]
-
-
-def rational_solve(entries, rhs):
-    """One exact solution of A x = b over Q, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    return rational_solve_many(entries, [rhs])[0]
 
 
 def rational_solve_many(entries, rhs_list):

@@ -208,10 +208,6 @@ class PolarizedStar:
         return plus, minus
 
 
-def polarized_star(frame: PointFrame, taming: Taming) -> PolarizedStar:
-    return PolarizedStar(frame, taming)
-
-
 def project_selfdual(
     sample: FieldStrengthSample, frame: PointFrame, taming: Taming
 ) -> FieldStrengthSample:

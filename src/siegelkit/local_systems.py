@@ -4,12 +4,26 @@ The base is a finite CW complex given by cell counts, signed incidence
 matrices, and one integer symplectic transport per oriented 1-cell. The
 twisted differential in degree zero is (d0 x)(e) = rho_e x(source) -
 x(target); in degree one it transports edge values along the attaching
-walk of each 2-cell, so flatness (ordered boundary product = identity)
-is exactly d1 d0 = 0. Attaching walks are taken from explicit words
-when given, reconstructed by walking the boundary for regular 2-cells,
-and unnecessary when every transport is the identity. Differentials in
-degree two and higher are untwisted blocks; a final exact d.d = 0 check
-rejects any complex whose transports do not assemble to a flat system.
+word of each 2-cell. Attaching words are taken from explicit words when
+given, reconstructed by walking the boundary for regular 2-cells, and
+unnecessary when every transport is the identity. Differentials in
+degree two and higher are untwisted blocks, so a complex of dimension
+three or more must carry identity transports.
+
+Flatness means d1 d0 = 0, reported per 2-cell: 2-cell f is flat when its
+block row of d1 d0 vanishes. For a closed attaching walk that block is
+(I - hol_f^-1) at the base vertex, the usual holonomy test, and the test
+stays right for words that are not walks. Every other condition
+d_{k+1} d_k = 0 is the vanishing of a boundary composition.
+
+Validation contract: ``validate_local_system`` alone decides whether a
+complex is valid, and each refusal is an entry of its report.
+``twisted_cohomology``, ``charge_lattice_basis`` and ``dsz_check``
+validate a complex once, on first use, keep the report and the
+differentials on the (immutable) complex, and raise ``InvalidComplex``
+with the report when it is invalid. So they accept exactly the complexes
+the validator calls valid (the charge lattice and the DSZ check also
+need dimension >= 2).
 
 Charge classes are stored in units of 2 pi, which keeps every check
 rational and exact.
@@ -22,7 +36,6 @@ from .exact_linalg import (
     IntegerMatrix,
     inverse_unimodular,
     kernel_lattice,
-    rational_solve,
     rational_solve_many,
     smith_normal_form,
 )
@@ -32,7 +45,7 @@ from .symplectic_lattices import LatticeType, sp_type_membership, symplectic_inv
 class TwistedComplex:
     """Finite CW data with symplectic transports on 1-cells."""
 
-    __slots__ = ("cells", "boundaries", "transports", "type", "words")
+    __slots__ = ("cells", "boundaries", "transports", "type", "words", "_checked")
 
     def __init__(self, cells, boundaries, transports, type: LatticeType, words=None):
         cells = tuple(int(c) for c in cells)
@@ -78,6 +91,8 @@ class TwistedComplex:
         object.__setattr__(self, "transports", transports)
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "words", words)
+        # (report, differentials), filled on first use by _differentials.
+        object.__setattr__(self, "_checked", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TwistedComplex is immutable")
@@ -157,17 +172,6 @@ class TwistedComplex:
             raise InvalidComplex(f"2-cell {f}: boundary walk does not close up")
         return tuple(word)
 
-    def word_holonomy(self, f):
-        """Ordered product of boundary transports around 2-cell f."""
-        return self._holonomy(f, _inverter(self))
-
-    def _holonomy(self, f, inverse):
-        hol = IntegerMatrix.identity(self.coeff_rank)
-        for e, s in self.attaching_word(f):
-            g = self.transports[e]
-            hol = (g if s == 1 else inverse(g)) * hol
-        return hol
-
 
 def _inverter(c: TwistedComplex):
     """Inverse for products of c's transports.
@@ -186,14 +190,19 @@ def _inverter(c: TwistedComplex):
 
 
 class LocalSystemReport:
-    """Validation results with offending cell identifiers."""
+    """Validation results with offending cell identifiers.
+
+    ``_differentials`` keeps the differentials built while validating
+    (d0, and d1 when flatness was tested) for the computations to reuse.
+    """
 
     def __init__(self, boundary_failures, transport_failures, flatness_failures,
-                 word_failures):
+                 word_failures, differentials=()):
         self.boundary_failures = list(boundary_failures)
         self.transport_failures = list(transport_failures)
         self.flatness_failures = list(flatness_failures)
         self.word_failures = list(word_failures)
+        self._differentials = tuple(differentials)
 
     @property
     def valid(self):
@@ -205,17 +214,49 @@ class LocalSystemReport:
         )
 
     def as_dict(self):
+        """A copy: the report kept on a complex is shared by every caller."""
         return {
             "valid": self.valid,
-            "boundary_failures": self.boundary_failures,
-            "transport_failures": self.transport_failures,
-            "flatness_failures": self.flatness_failures,
-            "word_failures": self.word_failures,
+            "boundary_failures": [dict(x) for x in self.boundary_failures],
+            "transport_failures": [dict(x) for x in self.transport_failures],
+            "flatness_failures": [dict(x) for x in self.flatness_failures],
+            "word_failures": [dict(x) for x in self.word_failures],
         }
 
 
+def _word_mismatch(c: TwistedComplex, f):
+    """Why the attaching word of 2-cell f does not fit it, or None.
+
+    Every letter must be a 1-cell with sign 1 or -1, and the signed letter
+    counts must equal the incidence column of f. Raises InvalidComplex
+    when f has no explicit word and none can be reconstructed.
+    """
+    word = c.attaching_word(f)
+    n_edges = c.cells[1]
+    sums = [0] * n_edges
+    for e, s in word:
+        if not 0 <= e < n_edges or s not in (1, -1):
+            return f"letter {[e, s]} is not a 1-cell with sign 1 or -1"
+        sums[e] += s
+    col = c.boundaries[1].column_vector(f)
+    for e in range(n_edges):
+        if sums[e] != col[e]:
+            return f"word does not match incidence at edge {e}"
+    return None
+
+
 def validate_local_system(c: TwistedComplex) -> LocalSystemReport:
-    """Check boundary^2 = 0, transport membership and per-2-cell flatness."""
+    """Check every condition the cohomology computations rely on.
+
+    - ``boundary_failures``: nonzero boundary compositions, and 1-cells
+      whose incidence column gives no (source, target) pair;
+    - ``transport_failures``: transports outside Sp_t(2n, Z), and
+      transports other than the identity on a complex of dimension >= 3;
+    - ``word_failures``: 2-cells whose attaching word is missing or does
+      not match their incidence column;
+    - ``flatness_failures``: 2-cells whose block row of d1 d0 is nonzero,
+      tested when every 1-cell, transport and word passes.
+    """
     boundary_failures = []
     for k in range(len(c.boundaries) - 1):
         prod = c.boundaries[k] * c.boundaries[k + 1]
@@ -223,7 +264,15 @@ def validate_local_system(c: TwistedComplex) -> LocalSystemReport:
             boundary_failures.append(
                 {"degree": k + 1, "detail": "boundary composition is nonzero"}
             )
+    edge_failures = []
+    for e in range(len(c.transports)):
+        try:
+            c.edge_endpoints(e)
+        except InvalidComplex as exc:
+            edge_failures.append({"edge": e, "detail": str(exc)})
+    boundary_failures.extend(edge_failures)
     transport_failures = []
+    ident = IntegerMatrix.identity(c.coeff_rank)
     for e, g in enumerate(c.transports):
         try:
             ok = sp_type_membership(g, c.type)
@@ -231,38 +280,40 @@ def validate_local_system(c: TwistedComplex) -> LocalSystemReport:
             ok = False
         if not ok:
             transport_failures.append({"edge": e})
-    flatness_failures = []
+        elif c.dimension >= 3 and g != ident:
+            # Twisting d2 and above would need attaching data for 3-cells,
+            # which this model does not carry.
+            transport_failures.append(
+                {"edge": e, "detail": "complexes of dimension >= 3 need identity transports"}
+            )
     word_failures = []
-    ident = IntegerMatrix.identity(c.coeff_rank)
     if c.dimension >= 2 and not transport_failures:
-        # Every transport is in Sp_t(2n, Z): invert in closed form.
-        def inverse(g):
-            return symplectic_inverse(g, c.type)
-
+        untwisted = c.is_untwisted()
         for f in range(c.cells[2]):
             try:
-                word = c.attaching_word(f)
+                detail = _word_mismatch(c, f)
             except InvalidComplex as exc:
-                if c.is_untwisted():
+                if untwisted:
                     continue  # untwisted differentials never need the walk
-                word_failures.append({"face": f, "detail": str(exc)})
-                continue
-            # The word must match the signed incidence column.
-            sums = {}
-            for e, s in word:
-                sums[e] = sums.get(e, 0) + s
-            col = c.boundaries[1].column_vector(f)
-            for e in range(c.cells[1]):
-                if sums.get(e, 0) != col[e]:
-                    word_failures.append(
-                        {"face": f, "detail": f"word does not match incidence at edge {e}"}
-                    )
-                    break
-            else:
-                if c._holonomy(f, inverse) != ident:
-                    flatness_failures.append({"face": f})
+                detail = str(exc)
+            if detail is not None:
+                word_failures.append({"face": f, "detail": detail})
+    flatness_failures = []
+    differentials = []
+    if c.dimension >= 1 and not (edge_failures or transport_failures or word_failures):
+        differentials.append(twisted_differential(c, 0))
+        if c.dimension >= 2:
+            differentials.append(twisted_differential(c, 1))
+            dd = differentials[1] * differentials[0]
+            N = c.coeff_rank
+            flatness_failures = [
+                {"face": f}
+                for f in range(c.cells[2])
+                if any(any(dd.row(i)) for i in range(N * f, N * (f + 1)))
+            ]
     return LocalSystemReport(
-        boundary_failures, transport_failures, flatness_failures, word_failures
+        boundary_failures, transport_failures, flatness_failures, word_failures,
+        differentials,
     )
 
 
@@ -312,22 +363,24 @@ def twisted_differential(c: TwistedComplex, k: int) -> IntegerMatrix:
     return IntegerMatrix._trusted(tuple(map(tuple, rows)))
 
 
-def _checked_differentials(c: TwistedComplex):
-    report = validate_local_system(c)
-    if not report.valid:
-        raise InvalidComplex(f"invalid twisted complex: {report.as_dict()}")
-    if c.dimension >= 3 and not c.is_untwisted():
-        # Twisted differentials above degree one would need attaching
-        # data for 3-cells, which this model does not carry.
-        raise InvalidComplex(
-            "complexes of dimension >= 3 are supported with trivial transports only"
-        )
-    diffs = [twisted_differential(c, k) for k in range(c.dimension)]
-    for k in range(len(diffs) - 1):
-        if not (diffs[k + 1] * diffs[k]).is_zero():
-            raise InvalidComplex(
-                f"transports do not assemble to a flat system: d{k + 1} d{k} != 0"
+def _differentials(c: TwistedComplex):
+    """The differentials of c in every degree, validating c on first use.
+
+    The report and the differentials stay on the complex, so each is
+    computed once however many computations read them.
+    """
+    if c._checked is None:
+        report = validate_local_system(c)
+        diffs = None
+        if report.valid:
+            built = report._differentials
+            diffs = built + tuple(
+                twisted_differential(c, k) for k in range(len(built), c.dimension)
             )
+        object.__setattr__(c, "_checked", (report, diffs))
+    report, diffs = c._checked
+    if diffs is None:
+        raise InvalidComplex("invalid twisted complex", report=report.as_dict())
     return diffs
 
 
@@ -360,7 +413,7 @@ def twisted_cohomology(c: TwistedComplex, k: int) -> CohomologyResult:
     """Cohomology of the twisted cochain complex in degree k."""
     if k < 0 or k > c.dimension:
         return CohomologyResult(k, 0, (), ())
-    diffs = _checked_differentials(c)
+    diffs = _differentials(c)
     N = c.coeff_rank
     dim_k = N * c.cells[k]
     dk = diffs[k] if k < c.dimension else None
@@ -468,7 +521,7 @@ def dsz_check(cls: ChargeClass, c: TwistedComplex) -> DszVerdict:
     """
     if c.dimension < 2:
         raise InvalidComplex("DSZ check needs a complex of dimension >= 2")
-    diffs = _checked_differentials(c)
+    diffs = _differentials(c)
     N = c.coeff_rank
     dim2 = N * c.cells[2]
     vec = cls.coefficients
@@ -489,7 +542,7 @@ def dsz_check(cls: ChargeClass, c: TwistedComplex) -> DszVerdict:
         row = [Fraction(b[i]) for b in basis]
         row.extend(Fraction(d1[i, j]) for j in range(d1.cols))
         rows.append(row)
-    sol = rational_solve(rows, vec)
+    sol = rational_solve_many(rows, [vec])[0]
     if sol is None:
         return DszVerdict(False, None)
     m = sol[: len(basis)]

@@ -14,10 +14,10 @@ import numpy as np
 
 from siegelkit.exact_linalg import IntegerMatrix, smith_normal_form
 from siegelkit.field_calculus import (
+    PolarizedStar,
     duality_transform_sample,
     inner_contraction,
     maxwell_residual,
-    polarized_star,
     scalar_rhs,
     trace_g,
 )
@@ -151,7 +151,7 @@ def test_criterion_04_polarized_star_involution_and_split():
         t = random_lattice_type(rng, n)
         frame = random_lorentz_frame(rng)
         tm = random_taming(rng, t, eps=0.5)
-        op = polarized_star(frame, tm)
+        op = PolarizedStar(frame, tm)
         K = op.as_matrix()
         assert np.max(np.abs(K @ K - np.eye(12 * n))) <= 1e-10
         assert op.eigenspace_dimensions() == (6 * n, 6 * n)

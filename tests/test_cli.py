@@ -8,7 +8,7 @@ import pytest
 
 from siegelkit import jsonio
 from siegelkit.exact_linalg import IntegerMatrix
-from siegelkit.local_systems import charge_lattice_basis, two_sphere_complex
+from siegelkit.local_systems import charge_lattice_basis, two_sphere_complex, two_torus_complex
 from siegelkit.polarization import Taming, standard_taming_matrix
 from siegelkit.siegel_group import AffineSymplectomorphism
 from siegelkit.symplectic_lattices import LatticeType, standard_gram, standard_space
@@ -110,6 +110,32 @@ def test_centralizer_bound_zero_exit_one():
     assert proc.stdout.count("\n") == 1
     assert json.loads(proc.stdout) == {"error": "bound must be at least 1"}
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_fiber_product_bound_below_one_exit_one(bound):
+    payload = {
+        "points": 1,
+        "isometries": [[0]],
+        "omega": jsonio.encode_integer_matrix(standard_gram(LatticeType((1,)))),
+        "tamings": [jsonio.encode_float_matrix(standard_taming_matrix(1))],
+    }
+    proc = run_cli(["uduality", "fiber-product", "--bound", bound], payload)
+    assert proc.returncode == 1
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"error": "bound must be at least 1"}
+    assert "Traceback" not in proc.stderr
+
+
+def test_invalid_complex_error_carries_report():
+    shear, rot = IntegerMatrix([[1, 1], [0, 1]]), IntegerMatrix([[0, -1], [1, 0]])
+    c = two_torus_complex(shear, rot, LatticeType((1,)))
+    proc = run_cli(["cohomology", "compute"], {"complex": jsonio.encode_complex(c)})
+    assert proc.returncode == 2
+    out = json.loads(proc.stdout)
+    assert out["kind"] == "InvalidComplex"
+    assert out["report"]["valid"] is False
+    assert out["report"]["flatness_failures"] == [{"face": 0}]
 
 
 def test_selftest_deterministic():

@@ -7,14 +7,13 @@ import pytest
 from siegelkit.errors import DimensionMismatch, NotUnimodular
 from siegelkit.exact_linalg import (
     IntegerMatrix,
-    RationalMatrix,
     determinant,
     inverse_unimodular,
     is_unimodular,
     kernel_lattice,
     rank,
     rational_inverse,
-    rational_solve,
+    rational_solve_many,
     smith_normal_form,
 )
 
@@ -117,19 +116,11 @@ def test_rational_solve_and_inverse():
     from fractions import Fraction
 
     A = [[2, 1], [1, 1]]
-    x = rational_solve(A, [1, 0])
+    x = rational_solve_many(A, [[1, 0]])[0]
     assert x == (Fraction(1), Fraction(-1))
-    assert rational_solve([[1, 0], [1, 0]], [1, 2]) is None
+    assert rational_solve_many([[1, 0], [1, 0]], [[1, 2]])[0] is None
     inv = rational_inverse(A)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-
-
-def test_rational_matrix_basics():
-    from fractions import Fraction
-
-    M = RationalMatrix([[Fraction(1, 2), 1], [0, Fraction(3)]])
-    assert M[0, 0] == Fraction(1, 2)
-    assert (M * M.transpose()).rows == 2
 
 
 def test_immutability():

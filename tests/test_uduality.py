@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from siegelkit.errors import BoundTooLargeForBudget, InvalidModel
-from siegelkit.exact_linalg import IntegerMatrix, rational_solve
+from siegelkit.exact_linalg import IntegerMatrix, rational_solve_many
 from siegelkit.polarization import Taming, push_forward_taming, standard_taming_matrix
 from siegelkit.sampling import random_taming
 from siegelkit.symplectic_lattices import LatticeType, sp_type_membership, standard_gram
@@ -53,14 +53,10 @@ def spans_same_lattice(basis_a, basis_b):
         return False
     cols_a = [[v[i] for v in va] for i in range(len(va[0]))]
     cols_b = [[v[i] for v in vb] for i in range(len(vb[0]))]
-    for target in vb:
-        sol = rational_solve(cols_a, target)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return False
-    for target in va:
-        sol = rational_solve(cols_b, target)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return False
+    for cols, targets in ((cols_a, vb), (cols_b, va)):
+        for sol in rational_solve_many(cols, targets):
+            if sol is None or any(x.denominator != 1 for x in sol):
+                return False
     return True
 
 
