@@ -9,7 +9,12 @@ import json
 import sys
 
 from . import jsonio
-from .errors import BoundTooLargeForBudget, ParseError, SiegelKitError
+from .errors import (
+    BoundTooLargeForBudget,
+    DimensionMismatch,
+    ParseError,
+    SiegelKitError,
+)
 from .field_calculus import (
     hodge_star_matrix,
     inner_contraction,
@@ -252,6 +257,8 @@ def _cmd_field(args):
 
 def _cmd_cohomology(args):
     data = _read_input(args)
+    if not isinstance(data, dict):
+        raise ParseError("cohomology request must be a JSON object")
     c = jsonio.decode_complex(data.get("complex", data))
     if args.action == "validate":
         report = validate_local_system(c)
@@ -422,6 +429,9 @@ def main(argv=None) -> int:
         if report is not None:
             payload["report"] = report
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        # A shape error is malformed input, not a failed validation.
+        if isinstance(exc, DimensionMismatch):
+            return EXIT_PARSE
         return EXIT_VALIDATION
 
 

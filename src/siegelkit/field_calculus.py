@@ -144,12 +144,6 @@ def unpack_two_form(column) -> np.ndarray:
     return A
 
 
-def pack_two_form(A) -> np.ndarray:
-    """Antisymmetric 4x4 matrix -> 6-vector of ordered-pair components."""
-    Am = np.asarray(A, dtype=float)
-    return np.array([Am[i, j] for i, j in INDEX_PAIRS])
-
-
 def _unpack_stack(F: np.ndarray) -> np.ndarray:
     """Columns of a 6 x w sample -> array of shape (w, 4, 4)."""
     return np.stack([unpack_two_form(F[:, a]) for a in range(F.shape[1])])

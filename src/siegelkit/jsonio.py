@@ -12,11 +12,7 @@ import numpy as np
 
 from .errors import ParseError
 from .exact_linalg import IntegerMatrix
-from .field_calculus import (
-    FieldStrengthSample,
-    PointFrame,
-    ScalarSectorSample,
-)
+from .field_calculus import FieldStrengthSample, PointFrame
 from .local_systems import ChargeClass, TwistedComplex
 from .polarization import (
     FundamentalFormSample,
@@ -203,10 +199,6 @@ def decode_frame(obj, where="frame") -> PointFrame:
     return PointFrame(g, orientation)
 
 
-def encode_frame(frame: PointFrame) -> dict:
-    return {"g": encode_float_matrix(frame.g), "orientation": frame.orientation}
-
-
 def decode_field_sample(obj, where="field sample") -> FieldStrengthSample:
     F = decode_float_matrix(_need(obj, "F", where), where)
     try:
@@ -226,18 +218,6 @@ def decode_fundamental_form(obj, where="fundamental form") -> FundamentalFormSam
     return FundamentalFormSample(
         [decode_float_matrix(c, where) for c in comps]
     )
-
-
-def decode_scalar_sector(obj, where="scalar sector") -> ScalarSectorSample:
-    pm = decode_float_matrix(_need(obj, "pullback_metric", where), where)
-    einstein_lhs = obj.get("einstein_lhs")
-    if einstein_lhs is not None:
-        einstein_lhs = decode_float_matrix(einstein_lhs, where)
-    scalar_lhs = obj.get("scalar_lhs")
-    try:
-        return ScalarSectorSample(pm, einstein_lhs, scalar_lhs)
-    except Exception as exc:
-        raise ParseError(f"bad scalar sector in {where}: {exc}") from None
 
 
 def encode_complex(c: TwistedComplex) -> dict:
@@ -300,10 +280,6 @@ def decode_complex(obj, where="complex") -> TwistedComplex:
 def decode_charge_class(obj, where="charge class") -> ChargeClass:
     coeffs = decode_rational_vector(_need(obj, "coefficients", where), where)
     return ChargeClass(coeffs)
-
-
-def encode_charge_class(cls: ChargeClass) -> dict:
-    return {"coefficients": encode_rational_vector(cls.coefficients)}
 
 
 def decode_holonomy(obj, where="holonomy") -> HolonomySubgroup:

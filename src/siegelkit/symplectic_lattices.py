@@ -49,9 +49,6 @@ class LatticeType:
     def n(self):
         return len(self.entries)
 
-    def is_principal(self):
-        return all(t == 1 for t in self.entries)
-
     @classmethod
     def principal(cls, n):
         return cls((1,) * n)

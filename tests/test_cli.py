@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegelkit import jsonio
+from siegelkit import cli, jsonio, selftest
 from siegelkit.exact_linalg import IntegerMatrix
 from siegelkit.local_systems import charge_lattice_basis, two_sphere_complex, two_torus_complex
 from siegelkit.polarization import Taming, standard_taming_matrix
@@ -144,6 +144,37 @@ def test_selftest_deterministic():
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.count("PASS") == 13
+
+
+def test_selftest_failure_exit_two(monkeypatch, capsys):
+    name, _, size = selftest.SUITES[0]
+    failing = (name, lambda rng, size: (False, "forced failure"), size)
+    monkeypatch.setattr(selftest, "SUITES", (failing,) + selftest.SUITES[1:])
+    assert cli.main(["selftest", "--seed", "3"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"FAIL {name}: forced failure"
+    assert sum(line.startswith("PASS ") for line in lines) == len(selftest.SUITES) - 1
+    assert lines[-1] == "selftest FAILED (seed 3)"
+
+
+@pytest.mark.parametrize("action", ["validate", "compute", "charge-lattice", "dsz"])
+@pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
+def test_cohomology_non_object_input_exit_one(action, text, capsys):
+    assert cli.main(["cohomology", action, "--json", text]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": "cohomology request must be a JSON object"}
+
+
+def test_shape_mismatch_exit_one(capsys):
+    payload = {
+        "J": [[0.0, -1.0], [1.0, 0.0]],
+        "omega": {"entries": [["0", "1"], ["-1", "0"], ["1", "1"]]},
+    }
+    assert cli.main(["taming", "validate", "--json", json.dumps(payload)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out)["kind"] == "DimensionMismatch"
 
 
 def test_cohomology_compute_subcommand():
