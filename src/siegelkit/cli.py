@@ -34,7 +34,6 @@ from .polarization import (
     q_metric,
     taming_from_siegel_point,
     validate_taming,
-    DEFAULT_TOL,
 )
 from .selftest import run_selftest
 from .siegel_group import aff_act, aff_compose, aff_inverse, lattice_rep
@@ -168,7 +167,7 @@ def _cmd_taming(args):
     if args.action == "validate":
         J = jsonio.decode_float_matrix(jsonio._need(data, "J", "taming"), "taming")
         omega = jsonio.decode_integer_matrix(jsonio._need(data, "omega", "taming"))
-        use_tol = tol if tol is not None else float(data.get("tol", DEFAULT_TOL))
+        use_tol = tol if tol is not None else jsonio.decode_tol(data, "taming")
         report = validate_taming(J, omega, use_tol)
         _emit(args, report.as_dict())
         return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -246,6 +245,8 @@ def _cmd_field(args):
             jsonio._need(data, "psi", "scalar-rhs request")
         )
         lhs = data.get("scalar_lhs")
+        if lhs is not None:
+            lhs = jsonio.decode_float_vector(lhs, "scalar-rhs request")
         values, residuals = scalar_rhs(sample, frame, q_metric(taming), psi, lhs)
         payload = {"values": [float(v) for v in values]}
         if residuals is not None:
@@ -421,7 +422,8 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
         return EXIT_PARSE
     except BoundTooLargeForBudget as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")
+        payload = {"error": str(exc), "kind": type(exc).__name__, **exc.details}
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_BUDGET
     except SiegelKitError as exc:
         payload = {"error": str(exc), "kind": type(exc).__name__}

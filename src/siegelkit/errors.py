@@ -66,7 +66,16 @@ class InvalidModel(SiegelKitError):
 
 
 class BoundTooLargeForBudget(SiegelKitError):
-    """A bounded enumeration would exceed the configured search budget."""
+    """A bounded enumeration would exceed the configured search budget.
+
+    ``details`` holds what the refusal counted, as JSON values: always
+    ``budget``; ``volume`` and the per-coefficient ``limits`` for a
+    coefficient box; ``tested`` (column tests so far) for a column search.
+    """
+
+    def __init__(self, message, **details):
+        super().__init__(message)
+        self.details = details
 
 
 class ParseError(SiegelKitError):

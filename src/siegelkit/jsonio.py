@@ -6,6 +6,7 @@ Decoders are lenient (plain JSON integers are accepted), encoders are
 canonical, and every emitted document re-parses to an equal value.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,30 @@ def decode_integer_matrix(obj, where="matrix") -> IntegerMatrix:
     if "cols" in obj and decode_integer(obj["cols"], where) != m.cols:
         raise ParseError(f"column count mismatch in {where}")
     return m
+
+
+def decode_float(x, where="number") -> float:
+    """A finite JSON number, or a decimal string, as a float."""
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    raise ParseError(f"bad number {x!r} in {where}")
+
+
+def decode_float_vector(obj, where="vector"):
+    if not isinstance(obj, list):
+        raise ParseError(f"expected a list in {where}")
+    return tuple(decode_float(x, where) for x in obj)
+
+
+def decode_tol(obj, where):
+    """The optional ``"tol"`` field of a request, DEFAULT_TOL when absent."""
+    return decode_float(obj.get("tol", DEFAULT_TOL), where)
 
 
 def encode_rational(x: Fraction) -> str:
@@ -181,7 +206,7 @@ def decode_taming(obj, where="taming", tol_override=None) -> Taming:
     omega = decode_integer_matrix(_need(obj, "omega", where), where)
     tol = tol_override
     if tol is None:
-        tol = float(obj.get("tol", DEFAULT_TOL))
+        tol = decode_tol(obj, where)
     return Taming(J, omega, tol)
 
 
@@ -297,7 +322,7 @@ def decode_scalar_model(obj, where="scalar model") -> FiniteScalarModel:
     points = decode_integer(_need(obj, "points", where), where)
     isometries = _need(obj, "isometries", where)
     omega = decode_integer_matrix(_need(obj, "omega", where), where)
-    tol = float(obj.get("tol", DEFAULT_TOL))
+    tol = decode_tol(obj, where)
     tamings = [
         Taming(decode_float_matrix(J, where), omega, tol)
         for J in _need(obj, "tamings", where)

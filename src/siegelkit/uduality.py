@@ -10,11 +10,27 @@ Finite scalar models replace the scalar manifold by a finite point set
 with a finite isometry group and one taming per point; the fiber
 product condition U J(p) U^{-1} = J(f(p)) is pointwise, so these models
 capture its combinatorics exactly.
+
+Both enumerations prune instead of walking their whole box, and return
+exactly what the box filter would, in the same order:
+
+* centralizer_enumerate runs the coefficient box of the commutant
+  lattice depth first on flat integer rows, restricting each coefficient
+  to the interval that can still keep every entry within the bound.
+  Its budget counts the coefficient-box volume, checked up front.
+* _symplectic_box (the candidates of uduality_fiber_product) chooses
+  matrix columns one at a time and keeps, for each later column, only
+  the candidates with the right pairing against the chosen ones. Its
+  budget counts these column tests.
+
+A refused search raises BoundTooLargeForBudget with the counts in
+``details``.
 """
 
 import itertools
 import os
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -26,7 +42,11 @@ from .exact_linalg import (
 )
 from .polarization import Taming
 from .siegel_group import reduce_mod_lattice
-from .symplectic_lattices import LatticeType, sp_type_membership
+from .symplectic_lattices import (
+    LatticeType,
+    sp_type_membership,
+    symplectic_inverse,
+)
 
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "SIEGELKIT_BUDGET"
@@ -118,8 +138,17 @@ def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
     """All Siegel modular matrices within the entry box commuting with h.
 
     Enumerates coefficients over the commutant lattice (rank r, not the
-    full matrix space), then filters by entry bound, unimodularity and
-    preservation of the standard pairing. Output order is deterministic.
+    full matrix space) depth first, in lexicographic coefficient order,
+    on flat integer rows: level d adds c_d v_d to a partial sum of the
+    row-major basis entries v_d. At each level c_d is restricted to the
+    interval that keeps every entry e within bound + R_e, where R_e is
+    the most the later levels can still move it (zero at the last
+    level), i.e. (+-(bound + R_e) - partial_e) / v_de. Only points in
+    the entry box become matrices and are tested for preservation of
+    the standard pairing.
+
+    The budget counts the coefficient-box volume, prod (2 lim_i + 1),
+    and is checked before the search.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -133,23 +162,49 @@ def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
     cap = search_budget(budget)
     if volume > cap:
         raise BoundTooLargeForBudget(
-            f"coefficient box has {volume} points, budget is {cap}"
+            f"coefficient box has {volume} points, budget is {cap}",
+            budget=cap,
+            volume=volume,
+            limits=limits,
         )
+    m = h.size
+    t = h.type
+    vecs = [[x for i in range(m) for x in b.row(i)] for b in basis]
+    # room[d][e]: the largest |entry e| after level d from which the
+    # later levels can still bring it back into the box.
+    room = []
+    reach = [bound] * (m * m)
+    for lim, v in zip(reversed(limits), reversed(vecs)):
+        room.append(reach)
+        reach = [r + lim * abs(x) for r, x in zip(reach, v)]
+    room.reverse()
+    depth = len(vecs)
     out = []
-    ranges = [range(-lim, lim + 1) for lim in limits]
-    for coeffs in itertools.product(*ranges):
-        if all(x == 0 for x in coeffs):
-            continue
-        X = None
-        for ci, Bi in zip(coeffs, basis):
-            if ci == 0:
+
+    def descend(d, partial):
+        v, lim = vecs[d], limits[d]
+        lo, hi = -lim, lim
+        for p, x, r in zip(partial, v, room[d]):
+            if x > 0:
+                lo = max(lo, -((r + p) // x))
+                hi = min(hi, (r - p) // x)
+            elif x < 0:
+                lo = max(lo, -((r - p) // -x))
+                hi = min(hi, (r + p) // -x)
+            elif abs(p) > r:
+                return
+        for c in range(lo, hi + 1):
+            point = [p + c * x for p, x in zip(partial, v)]
+            if d + 1 < depth:
+                descend(d + 1, point)
                 continue
-            term = Bi * ci
-            X = term if X is None else X + term
-        if X is None or X.max_abs() > bound:
-            continue
-        if sp_type_membership(X, h.type):
-            out.append(X)
+            X = IntegerMatrix._trusted(
+                tuple(tuple(point[i * m : (i + 1) * m]) for i in range(m))
+            )
+            if sp_type_membership(X, t):
+                out.append(X)
+
+    descend(0, [0] * (m * m))
     return out
 
 
@@ -245,23 +300,69 @@ class UDualityElement:
 
 
 def _symplectic_box(t: LatticeType, bound: int, budget):
-    """All Siegel modular matrices of type t with entries in [-bound, bound]."""
-    m = 2 * t.n
-    volume = (2 * bound + 1) ** (m * m)
+    """All Siegel modular matrices of type t with entries in [-bound, bound].
+
+    Columns are chosen one at a time from the (2b+1)^(2n) - 1 nonzero
+    box columns (b = bound). Once column j is chosen, the candidate
+    list of every later column l keeps only the columns c whose pairing
+    omega(c_j, c) = sum_k t_k (a_jk b_k - b_jk a_k), with a and b the
+    top and bottom halves, equals Omega_t[j][l] (forward checking). A
+    matrix whose column pairs all match Omega_t is in Sp_t(2n, Z) (see
+    sp_type_membership), so every full choice is a member. The result
+    is sorted by row-major entries.
+
+    The budget counts column tests, one per candidate per pairing.
+    The first level alone takes up to (2b+1)^(4n) (2n - 1) tests; the
+    search is refused before it starts when that is over budget, and
+    otherwise as soon as the running count passes the budget.
+    """
+    n = t.n
+    m = 2 * n
+    ts = t.entries
     cap = search_budget(budget)
-    if volume > cap:
+    first = (2 * bound + 1) ** (2 * m) * (m - 1)
+    if first > cap:
         raise BoundTooLargeForBudget(
-            f"entry box has {volume} points, budget is {cap}"
+            f"first column level takes up to {first} tests, budget is {cap}",
+            budget=cap,
+            tested=0,
         )
-    out = []
     cells = range(-bound, bound + 1)
-    for flat in itertools.product(cells, repeat=m * m):
-        cand = IntegerMatrix._trusted(
-            tuple(flat[i * m : (i + 1) * m] for i in range(m))
-        )
-        if sp_type_membership(cand, t):
-            out.append(cand)
-    return out
+    columns = [c for c in itertools.product(cells, repeat=m) if any(c)]
+    found = []
+    tested = 0
+
+    def extend(chosen, lists):
+        nonlocal tested
+        if not lists:
+            found.append(chosen)
+            return
+        j = len(chosen)
+        for c in lists[0]:
+            # omega(c, x) = w . x with w = (-t b, t a)
+            w = tuple(-tk * bk for tk, bk in zip(ts, c[n:])) + tuple(
+                tk * ak for tk, ak in zip(ts, c[:n])
+            )
+            rest = []
+            for l, cands in enumerate(lists[1:], j + 1):
+                target = ts[j] if l == j + n else 0
+                tested += len(cands)
+                kept = [x for x in cands if sum(map(mul, w, x)) == target]
+                if not kept:
+                    break
+                rest.append(kept)
+            if tested > cap:
+                raise BoundTooLargeForBudget(
+                    f"column search passed {cap} tests",
+                    budget=cap,
+                    tested=tested,
+                )
+            if len(rest) == m - 1 - j:
+                extend(chosen + (c,), rest)
+
+    extend((), [columns] * m)
+    rows = sorted(tuple(zip(*cols)) for cols in found)
+    return [IntegerMatrix._trusted(r) for r in rows]
 
 
 def uduality_fiber_product(
@@ -272,6 +373,13 @@ def uduality_fiber_product(
     budget=None,
 ):
     """All pairs (f, U) in the box with U J(p) U^{-1} = J(f(p)) at every point.
+
+    The candidates U are the box of Sp_t(2n, Z) from the column search
+    of _symplectic_box, whose budget counts column tests. Each point p
+    costs one batched numpy step, U J(p) U^{-1} for all candidates at
+    once, with U^{-1} the exact symplectic inverse; a pair is kept when
+    every point's residual has max abs at most tol. Output is ordered by
+    isometry, then by the row-major entries of U.
 
     The lattice type defaults to the principal type of the tamings'
     rank. Elements are returned with no torus part: torus translations
@@ -284,20 +392,22 @@ def uduality_fiber_product(
     if tol is None:
         tol = max(max(tm.tol for tm in model.tamings), 1e-9)
     candidates = _symplectic_box(t, bound, budget)
+    if not candidates:
+        return []
+    U = np.array([c.to_lists() for c in candidates], dtype=float)
+    Uinv = np.array(
+        [symplectic_inverse(c, t).to_lists() for c in candidates], dtype=float
+    )
     Js = [tm.J for tm in model.tamings]
+    moved = [U @ J @ Uinv for J in Js]
     out = []
     for f_idx, perm in enumerate(model.isometries):
-        for U in candidates:
-            Um = np.array(U.to_lists(), dtype=float)
-            Uinv = np.linalg.inv(Um)
-            ok = True
-            for p in range(model.points):
-                lhs = Um @ Js[p] @ Uinv
-                if np.max(np.abs(lhs - Js[perm[p]])) > tol:
-                    ok = False
-                    break
-            if ok:
-                out.append(UDualityElement(f_idx, U))
+        ok = np.ones(len(candidates), dtype=bool)
+        for p, q in enumerate(perm):
+            ok &= np.max(np.abs(moved[p] - Js[q]), axis=(1, 2)) <= tol
+        out.extend(
+            UDualityElement(f_idx, U_) for U_, keep in zip(candidates, ok) if keep
+        )
     return out
 
 

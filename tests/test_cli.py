@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +11,11 @@ import pytest
 from siegelkit import cli, jsonio, selftest
 from siegelkit.exact_linalg import IntegerMatrix
 from siegelkit.local_systems import charge_lattice_basis, two_sphere_complex, two_torus_complex
-from siegelkit.polarization import Taming, standard_taming_matrix
+from siegelkit.polarization import Taming, push_forward_taming, standard_taming_matrix
+from siegelkit.sampling import random_sp_t_element
 from siegelkit.siegel_group import AffineSymplectomorphism
 from siegelkit.symplectic_lattices import LatticeType, standard_gram, standard_space
-from siegelkit.uduality import UDualityElement
+from siegelkit.uduality import UDualityElement, uduality_fiber_product
 
 
 def run_cli(args, payload=None):
@@ -252,3 +255,107 @@ def test_uduality_element_roundtrip():
 def test_parse_error_on_bad_rational():
     with pytest.raises(Exception):
         jsonio.decode_rational("1/0")
+
+
+def _run_main(argv, capsys):
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    return code, json.loads(out)
+
+
+def test_centralizer_budget_refusal_is_structured(capsys):
+    payload = {"generators": [jsonio.encode_integer_matrix(IntegerMatrix.identity(2))], "t": [1]}
+    argv = ["uduality", "centralizer", "--bound", "40", "--budget", "10", "--json", json.dumps(payload)]
+    code, out = _run_main(argv, capsys)
+    assert code == 3
+    assert out["kind"] == "BoundTooLargeForBudget"
+    assert out["budget"] == 10
+    assert len(out["limits"]) == 4
+    volume = 1
+    for lim in out["limits"]:
+        volume *= 2 * lim + 1
+    assert out["volume"] == volume > 10
+    assert set(out) == {"error", "kind", "budget", "volume", "limits"}
+
+
+def _two_point_payload(n, gamma):
+    t = LatticeType((1,) * n)
+    tm = Taming(standard_taming_matrix(n), standard_gram(t), 0.0)
+    return {
+        "points": 2,
+        "isometries": [[0, 1], [1, 0]],
+        "omega": jsonio.encode_integer_matrix(standard_gram(t)),
+        "tamings": [
+            jsonio.encode_float_matrix(tm.J),
+            jsonio.encode_float_matrix(push_forward_taming(gamma, tm).J),
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "n,bound,budget",
+    [(1, 4, 9**4 - 1), (2, 1, 40_000)],
+    ids=["first-level", "during-search"],
+)
+def test_fiber_product_budget_refusal_is_structured(n, bound, budget, capsys):
+    payload = _two_point_payload(n, IntegerMatrix.identity(2 * n))
+    argv = ["uduality", "fiber-product", "--bound", str(bound), "--budget", str(budget)]
+    code, out = _run_main(argv + ["--json", json.dumps(payload)], capsys)
+    assert code == 3
+    assert set(out) == {"error", "kind", "budget", "tested"}
+    assert out["kind"] == "BoundTooLargeForBudget"
+    assert out["budget"] == budget
+    first_level = (2 * bound + 1) ** (4 * n) * (2 * n - 1)
+    if first_level > budget:
+        assert out["tested"] == 0
+    else:
+        assert out["tested"] > budget
+
+
+def test_fiber_product_n2_bound1_gate_cli(capsys):
+    """The n = 2, bound 1 fiber product through the CLI, default budget."""
+    t = LatticeType((1, 1))
+    g = random_sp_t_element(random.Random(2024), t, steps=4, entry_bound=2)
+    payload = _two_point_payload(2, g)
+    start = time.perf_counter()
+    code, out = _run_main(["uduality", "fiber-product", "--bound", "1", "--json", json.dumps(payload)], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 5.0, f"{elapsed:.2f}s"
+    assert out["closure"] == {"closed": True, "missing": []}
+    model = jsonio.decode_scalar_model(payload)
+    expected = uduality_fiber_product(model, bound=1)
+    assert out["count"] == len(expected) > 0
+    assert out["elements"] == [jsonio.encode_uduality_element(e) for e in expected]
+
+
+_TAMING = {"J": [[0.0, -1.0], [1.0, 0.0]], "omega": {"entries": [["0", "1"], ["-1", "0"]]}}
+_FIELD = {
+    "frame": {"g": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(), "orientation": 1},
+    "taming": _TAMING,
+    "F_sample": {"F": np.zeros((6, 2)).tolist()},
+    "psi": {"components": [np.eye(2).tolist()]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["taming", "validate"], {**_TAMING, "tol": "abc"}),
+        (["taming", "validate"], {**_TAMING, "tol": [1]}),
+        (["taming", "validate"], {**_TAMING, "tol": "nan"}),
+        (["taming", "validate"], {**_TAMING, "tol": float("inf")}),
+        (["taming", "push"], {"taming": {**_TAMING, "tol": "abc"}, "gamma": _TAMING["omega"]}),
+        (["taming", "push"], {"taming": {**_TAMING, "tol": [1]}, "gamma": _TAMING["omega"]}),
+        (["field", "scalar-rhs"], {**_FIELD, "scalar_lhs": "abc"}),
+        (["field", "scalar-rhs"], {**_FIELD, "scalar_lhs": ["abc"]}),
+        (["field", "scalar-rhs"], {**_FIELD, "taming": {**_TAMING, "tol": None}}),
+        (["uduality", "fiber-product"], {**_two_point_payload(1, IntegerMatrix.identity(2)), "tol": {}}),
+    ],
+)
+def test_malformed_numbers_exit_one(argv, payload, capsys):
+    code, out = _run_main(argv + ["--json", json.dumps(payload)], capsys)
+    assert code == 1
+    assert set(out) == {"error"}
+    assert out["error"].startswith(("bad number", "expected a list"))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from siegelkit.errors import BoundTooLargeForBudget, InvalidModel
 from siegelkit.exact_linalg import IntegerMatrix, rational_solve_many
 from siegelkit.polarization import Taming, push_forward_taming, standard_taming_matrix
-from siegelkit.sampling import random_taming
+from siegelkit.sampling import random_sl2z, random_sp_t_element, random_taming
 from siegelkit.symplectic_lattices import LatticeType, sp_type_membership, standard_gram
 from siegelkit.uduality import (
     FiniteScalarModel,
     HolonomySubgroup,
     UDualityElement,
+    _coefficient_box,
+    _symplectic_box,
     adjoint_map,
     centralizer_enumerate,
     closure_within_box,
@@ -24,6 +27,7 @@ from siegelkit.uduality import (
 )
 
 T1 = LatticeType((1,))
+T2 = LatticeType((1, 1))
 I2 = IntegerMatrix.identity(2)
 S_ROT = IntegerMatrix([[0, -1], [1, 0]])
 SHEAR = IntegerMatrix([[1, 1], [0, 1]])
@@ -177,22 +181,29 @@ def _two_point_conjugated_model(rng=None):
     return FiniteScalarModel(2, [(0, 1), (1, 0)], [tm0, tm1])
 
 
+def compatible(rotations, model, perm, tol=1e-8):
+    """The brute-force condition U J_p U^-1 = J_perm(p), with numpy inverses."""
+    U = np.array([r.to_lists() for r in rotations], dtype=float)
+    Uinv = np.linalg.inv(U)
+    ok = np.ones(len(rotations), dtype=bool)
+    for p in range(model.points):
+        diff = U @ model.tamings[p].J @ Uinv - model.tamings[perm[p]].J
+        ok &= np.max(np.abs(diff), axis=(1, 2)) <= tol
+    return ok
+
+
 def brute_force_fiber_product(model, bound, tol=1e-8):
-    out = []
+    box = []
     for flat in itertools.product(range(-bound, bound + 1), repeat=4):
         cand = IntegerMatrix([list(flat[:2]), list(flat[2:])])
-        if not sp_type_membership(cand, T1):
-            continue
-        U = np.array(cand.to_lists(), dtype=float)
-        Uinv = np.linalg.inv(U)
-        for f_idx, perm in enumerate(model.isometries):
-            if all(
-                np.max(np.abs(U @ model.tamings[p].J @ Uinv - model.tamings[perm[p]].J))
-                <= tol
-                for p in range(model.points)
-            ):
-                out.append((f_idx, cand))
-    return out
+        if sp_type_membership(cand, T1):
+            box.append(cand)
+    return [
+        (f_idx, U)
+        for f_idx, perm in enumerate(model.isometries)
+        for U, ok in zip(box, compatible(box, model, perm, tol))
+        if ok
+    ]
 
 
 def test_two_point_conjugated_model_matches_brute_force():
@@ -241,3 +252,140 @@ def test_pure_translations_compose_in_kernel():
     z = uduality_compose(a, b, model)
     assert is_pure_translation(z, model)
     assert z.torus == (Fraction(1, 6), Fraction(1, 2))
+
+
+# oracles for the pruned enumerations
+
+
+def naive_centralizer(h, bound):
+    """Every point of the coefficient box, in lexicographic order, then filtered."""
+    basis = commutant_lattice(h)
+    limits = _coefficient_box(basis, bound)
+    out = []
+    for coeffs in itertools.product(*(range(-lim, lim + 1) for lim in limits)):
+        if not any(coeffs):
+            continue
+        X = sum((b * c for b, c in zip(basis, coeffs) if c), IntegerMatrix.zeros(h.size, h.size))
+        if X.max_abs() <= bound and sp_type_membership(X, h.type):
+            out.append(X)
+    return out
+
+
+def numpy_symplectic_box(t, bound):
+    """Sp_t(2n, Z) in the entry box from U^T Omega_t U = Omega_t, in numpy.
+
+    Every matrix of the box is a choice of 2n columns. The pairings of
+    all box columns come from one product C Omega_t C^T; the box is then
+    scanned one first column at a time, testing the pairing of every
+    column pair of every matrix.
+    """
+    m = 2 * t.n
+    cells = np.arange(-bound, bound + 1)
+    C = np.array(list(itertools.product(cells, repeat=m)), dtype=np.int64)
+    omega = np.array(standard_gram(t).to_lists(), dtype=np.int64)
+    P = C @ omega @ C.T
+    k = len(C)
+    found = []
+    for a in range(k):
+        ok = np.ones((k,) * (m - 1), dtype=bool)
+        for i, j in itertools.combinations(range(m), 2):
+            target = omega[i, j]
+            if i == 0:
+                row = P[a] == target
+                ok &= row.reshape((1,) * (j - 1) + (k,) + (1,) * (m - 1 - j))
+            else:
+                pair = P == target
+                shape = [1] * (m - 1)
+                shape[i - 1] = shape[j - 1] = k
+                ok &= pair.reshape(shape)
+        for rest in np.argwhere(ok):
+            cols = C[[a, *rest]]
+            found.append(tuple(tuple(int(x) for x in r) for r in cols.T))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("entries", [(1,), (2,), (3,)])
+def test_symplectic_box_matches_entry_box_filter(entries):
+    t = LatticeType(entries)
+    for bound in (1, 2, 3, 4):
+        oracle = []
+        for flat in itertools.product(range(-bound, bound + 1), repeat=4):
+            cand = IntegerMatrix([list(flat[:2]), list(flat[2:])])
+            if sp_type_membership(cand, t):
+                oracle.append(cand)
+        assert _symplectic_box(t, bound, None) == oracle
+
+
+@pytest.mark.parametrize("entries,count", [((1, 1), 17312), ((1, 2), 400)])
+def test_symplectic_box_n2_matches_numpy_oracle(entries, count):
+    t = LatticeType(entries)
+    got = [tuple(map(tuple, m.to_lists())) for m in _symplectic_box(t, 1, None)]
+    assert got == numpy_symplectic_box(t, 1)
+    assert len(got) == count
+
+
+def test_centralizer_matches_naive_coefficient_loop():
+    rng = random.Random(44)
+    ident = IntegerMatrix.identity(2)
+    for bound in range(1, 7):
+        for _ in range(4):
+            g = random_sl2z(rng, 6)
+            if g in (ident, -ident):
+                continue
+            h = HolonomySubgroup([g], T1)
+            assert centralizer_enumerate(h, bound) == naive_centralizer(h, bound)
+    checked = 0
+    while checked < 4:
+        g = random_sp_t_element(rng, T2, steps=4, entry_bound=2)
+        h = HolonomySubgroup([g], T2)
+        if len(commutant_lattice(h)) > 6:
+            continue
+        assert centralizer_enumerate(h, 1) == naive_centralizer(h, 1)
+        checked += 1
+
+
+def test_fiber_product_budget_counts_column_tests():
+    model = _two_point_conjugated_model()
+    # n = 1, bound 4: the first level alone takes up to 9^4 tests.
+    with pytest.raises(BoundTooLargeForBudget) as exc:
+        uduality_fiber_product(model, bound=4, t=T1, budget=9**4 - 1)
+    assert exc.value.details == {"budget": 9**4 - 1, "tested": 0}
+    assert len(uduality_fiber_product(model, bound=4, t=T1, budget=9**4)) > 0
+    # n = 2, bound 1: the first level fits (3^8 * 3 tests), the search does not.
+    tm = Taming(standard_taming_matrix(2), standard_gram(T2), 0.0)
+    model2 = FiniteScalarModel(1, [(0,)], [tm])
+    with pytest.raises(BoundTooLargeForBudget) as exc:
+        uduality_fiber_product(model2, bound=1, budget=50_000)
+    assert exc.value.details["budget"] == 50_000
+    assert exc.value.details["tested"] > 50_000
+    # The whole search takes 136,368 tests; dead ends stop filtering.
+    assert len(_symplectic_box(T2, 1, 136_368)) == 17312
+    with pytest.raises(BoundTooLargeForBudget) as exc:
+        _symplectic_box(T2, 1, 136_367)
+    assert exc.value.details == {"budget": 136_367, "tested": 136_368}
+
+
+def _n2_model():
+    g = random_sp_t_element(random.Random(2024), T2, steps=4, entry_bound=2)
+    tm0 = Taming(standard_taming_matrix(2), standard_gram(T2), 0.0)
+    return FiniteScalarModel(2, [(0, 1), (1, 0)], [tm0, push_forward_taming(g, tm0)])
+
+
+def test_fiber_product_n2_bound1_gate():
+    """n = 2 fiber products at bound 1 run under the default budget."""
+    model = _n2_model()
+    start = time.perf_counter()
+    elements = uduality_fiber_product(model, bound=1)
+    elapsed = time.perf_counter() - start
+    closure = closure_within_box(elements, model, 1)
+    assert elapsed < 5.0, f"{elapsed:.2f}s"
+    assert closure.closed
+    box = [IntegerMatrix([list(r) for r in rows]) for rows in numpy_symplectic_box(T2, 1)]
+    oracle = [
+        (f, U)
+        for f, perm in enumerate(model.isometries)
+        for U, ok in zip(box, compatible(box, model, perm))
+        if ok
+    ]
+    assert [(e.isometry, e.rotation) for e in elements] == oracle
+    assert len(oracle) > 0
