@@ -70,7 +70,8 @@ def _read_input(args):
             raise ParseError(f"cannot read input: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Malformed JSON, or an integer literal past Python's digit limit.
         raise ParseError(f"input is not valid JSON: {exc}") from None
 
 

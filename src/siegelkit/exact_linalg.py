@@ -399,8 +399,10 @@ def rational_rref(entries):
     """Reduced row echelon form over Q.
 
     Takes a list of row lists (any Fraction-convertible entries) and
-    returns (rref_rows, pivot_columns). Used as the exact solver behind
-    cohomology-class membership tests.
+    returns (rref_rows, pivot_columns). It factors the DSZ membership
+    system once per complex (``local_systems._charge_system``) and
+    solves the systems of ``rational_solve_many`` and
+    ``rational_inverse``.
     """
     A = [[Fraction(x) for x in row] for row in entries]
     if not A:

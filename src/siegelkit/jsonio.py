@@ -2,11 +2,15 @@
 
 Integer matrices are written with entries as decimal strings so that
 arbitrary precision survives the trip; rationals are "p/q" strings.
-Decoders are lenient (plain JSON integers are accepted), encoders are
-canonical, and every emitted document re-parses to an equal value.
+Decoders accept plain JSON integers too, encoders are canonical, and
+every emitted document re-parses to an equal value. A rational is a JSON
+integer or a string "p" or "p/q" of decimal digits (p may carry a minus
+sign, q is positive); decimal points and exponents are refused, since
+"1e100000000" would ask for a 3.3e8-bit integer.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -97,13 +101,14 @@ def encode_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def decode_rational(x, where="rational") -> Fraction:
     try:
-        if isinstance(x, str):
+        if isinstance(x, str) and _RATIONAL.fullmatch(x):
             return Fraction(x)
-        if isinstance(x, bool):
-            raise ValueError
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         raise ValueError
     except (ValueError, ZeroDivisionError):

@@ -26,16 +26,23 @@ the validator calls valid (the charge lattice and the DSZ check also
 need dimension >= 2).
 
 Charge classes are stored in units of 2 pi, which keeps every check
-rational and exact.
+rational and exact. The DSZ membership system is factored once per
+complex: the charge basis and an integer projector onto its coordinates
+are kept on the complex next to the differentials, so each further
+class costs two integer matrix-vector products (the cocycle test and
+the projection) and one divisibility test.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatch, InvalidComplex, NotACocycle
 from .exact_linalg import (
     IntegerMatrix,
     inverse_unimodular,
     kernel_lattice,
+    rational_rref,
     rational_solve_many,
     smith_normal_form,
 )
@@ -91,7 +98,8 @@ class TwistedComplex:
         object.__setattr__(self, "transports", transports)
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "words", words)
-        # (report, differentials), filled on first use by _differentials.
+        # (report, differentials, charge system), filled on first use by
+        # _differentials and _charge_system.
         object.__setattr__(self, "_checked", None)
 
     def __setattr__(self, name, value):
@@ -377,8 +385,8 @@ def _differentials(c: TwistedComplex):
             diffs = built + tuple(
                 twisted_differential(c, k) for k in range(len(built), c.dimension)
             )
-        object.__setattr__(c, "_checked", (report, diffs))
-    report, diffs = c._checked
+        object.__setattr__(c, "_checked", (report, diffs, None))
+    report, diffs, _ = c._checked
     if diffs is None:
         raise InvalidComplex("invalid twisted complex", report=report.as_dict())
     return diffs
@@ -500,15 +508,53 @@ class DszVerdict:
         }
 
 
+def _charge_system(c: TwistedComplex):
+    """(basis, P, D): the DSZ membership system of c, factored once.
+
+    ``basis`` is the free basis of H^2. One RREF of [basis | d1 | I] over
+    Q gives the transform E with E [basis | d1] in echelon form. The
+    basis classes are independent modulo im d1 (a rational relation
+    would make an integral combination torsion), so the basis columns
+    are the first r pivots, and every later column of d1 is a
+    combination of earlier d1 pivots only: rows i < r of the echelon
+    form are e_i on the basis columns and zero on d1. Hence for every
+    v = basis m + d1 w, the coordinates are m = E[:r] v, and
+    P = D E[:r] with D the common denominator of E[:r] is an integer
+    matrix. Over Q, span(basis) + im d1 = ker d2 (all 2-cochains when the
+    complex has dimension 2), so every cocycle has this form, and the
+    cocycle test alone settles consistency. The result stays on the
+    complex next to its report and differentials.
+    """
+    diffs = _differentials(c)
+    report, _, system = c._checked
+    if system is None:
+        basis = twisted_cohomology(c, 2).free_basis
+        d1 = diffs[1]
+        dim2 = d1.rows
+        rows = [
+            [b[i] for b in basis] + list(d1.row(i)) + [int(i == j) for j in range(dim2)]
+            for i in range(dim2)
+        ]
+        E, _ = rational_rref(rows)
+        start = len(basis) + d1.cols
+        T = [row[start:] for row in E[: len(basis)]]
+        D = lcm(*(x.denominator for row in T for x in row))
+        P = tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in T)
+        system = (basis, P, D)
+        object.__setattr__(c, "_checked", (report, diffs, system))
+    return system
+
+
 def charge_lattice_basis(c: TwistedComplex):
     """Integral cocycles whose classes span the image of integral H^2.
 
     Torsion classes die in rational cohomology, so the basis has exactly
-    free_rank(H^2) elements.
+    free_rank(H^2) elements. The basis is computed once per complex;
+    each call returns a fresh list.
     """
     if c.dimension < 2:
         raise InvalidComplex("charge lattice needs a complex of dimension >= 2")
-    return list(twisted_cohomology(c, 2).free_basis)
+    return list(_charge_system(c)[0])
 
 
 def dsz_check(cls: ChargeClass, c: TwistedComplex) -> DszVerdict:
@@ -518,6 +564,11 @@ def dsz_check(cls: ChargeClass, c: TwistedComplex) -> DszVerdict:
     basis modulo rational coboundaries, and the verdict is integral when
     all basis coordinates are integers. The coordinates returned on
     success are the framing of the class.
+
+    The decomposition is the projector of ``_charge_system``, factored
+    once per complex. Per class, over the common denominator den of its
+    coefficients nums / den: the cocycle test d2 nums = 0, then P nums,
+    integral exactly when every entry is divisible by D den.
     """
     if c.dimension < 2:
         raise InvalidComplex("DSZ check needs a complex of dimension >= 2")
@@ -529,26 +580,16 @@ def dsz_check(cls: ChargeClass, c: TwistedComplex) -> DszVerdict:
         raise DimensionMismatch(
             f"class has {len(vec)} coefficients, expected {dim2}"
         )
-    if c.dimension > 2:
-        d2 = diffs[2]
-        image = d2.apply(vec)
-        if any(x != 0 for x in image):
-            raise NotACocycle("class fails the twisted cocycle condition")
-    basis = charge_lattice_basis(c)
-    d1 = diffs[1]
-    # Solve [ basis | d1 ] (m; w) = class over Q; the m part is unique.
-    rows = []
-    for i in range(dim2):
-        row = [Fraction(b[i]) for b in basis]
-        row.extend(Fraction(d1[i, j]) for j in range(d1.cols))
-        rows.append(row)
-    sol = rational_solve_many(rows, [vec])[0]
-    if sol is None:
+    den = lcm(*(x.denominator for x in vec))
+    nums = [x.numerator * (den // x.denominator) for x in vec]
+    if c.dimension > 2 and any(diffs[2].apply(nums)):
+        raise NotACocycle("class fails the twisted cocycle condition")
+    _, P, D = _charge_system(c)
+    scale = D * den
+    m = [sum(map(mul, row, nums)) for row in P]
+    if any(x % scale for x in m):
         return DszVerdict(False, None)
-    m = sol[: len(basis)]
-    if any(x.denominator != 1 for x in m):
-        return DszVerdict(False, None)
-    return DszVerdict(True, tuple(int(x) for x in m))
+    return DszVerdict(True, tuple(x // scale for x in m))
 
 
 def circle_complex(gamma: IntegerMatrix, t: LatticeType) -> TwistedComplex:

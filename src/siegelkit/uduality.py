@@ -34,7 +34,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import BoundTooLargeForBudget, DimensionMismatch, InvalidModel
+from .errors import BoundTooLargeForBudget, DimensionMismatch, InvalidModel, ParseError
 from .exact_linalg import (
     IntegerMatrix,
     kernel_lattice,
@@ -53,9 +53,23 @@ BUDGET_ENV_VAR = "SIEGELKIT_BUDGET"
 
 
 def search_budget(budget=None) -> int:
-    if budget is not None:
-        return int(budget)
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+    """The given budget, else $SIEGELKIT_BUDGET, else DEFAULT_BUDGET.
+
+    The environment value is decoded like ``--budget``; a budget that is
+    not a positive integer raises ParseError.
+    """
+    if budget is None:
+        raw = os.environ.get(BUDGET_ENV_VAR)
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(raw, 10)
+        except ValueError:
+            raise ParseError(f"{BUDGET_ENV_VAR} is not an integer: {raw!r}") from None
+    budget = int(budget)
+    if budget < 1:
+        raise ParseError(f"budget must be positive, got {budget}")
+    return budget
 
 
 class HolonomySubgroup:

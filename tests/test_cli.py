@@ -359,3 +359,61 @@ def test_malformed_numbers_exit_one(argv, payload, capsys):
     assert code == 1
     assert set(out) == {"error"}
     assert out["error"].startswith(("bad number", "expected a list"))
+
+
+_S_GEN = {"generators": [{"entries": [["0", "-1"], ["1", "0"]]}], "t": [1]}
+
+
+@pytest.mark.parametrize(
+    "env,extra,error",
+    [
+        ("abc", [], "SIEGELKIT_BUDGET is not an integer: 'abc'"),
+        ("-5", [], "budget must be positive, got -5"),
+        (None, ["--budget", "-1"], "budget must be positive, got -1"),
+    ],
+    ids=["env-not-integer", "env-negative", "option-negative"],
+)
+def test_bad_budget_exit_one(env, extra, error, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("SIEGELKIT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SIEGELKIT_BUDGET", env)
+    argv = ["uduality", "centralizer", "--bound", "3", *extra, "--json", json.dumps(_S_GEN)]
+    code, out = _run_main(argv, capsys)
+    assert code == 1
+    assert out == {"error": error}
+
+
+def test_budget_from_environment(monkeypatch, capsys):
+    monkeypatch.setenv("SIEGELKIT_BUDGET", "10")
+    argv = ["uduality", "centralizer", "--bound", "40", "--json", json.dumps(_S_GEN)]
+    code, out = _run_main(argv, capsys)
+    assert code == 3
+    assert out["budget"] == 10
+
+
+def _dsz_payload(coefficients):
+    c = two_torus_complex(None, None, LatticeType((1,)))
+    return {"complex": jsonio.encode_complex(c), "class": {"coefficients": coefficients}}
+
+
+@pytest.mark.parametrize("bad", ["1e5000", "0.5", "1e-5", "1/0", "1/-2", " 1", "+1", 1.0, True])
+def test_dsz_refuses_non_rational_strings(bad, capsys):
+    argv = ["cohomology", "dsz", "--json", json.dumps(_dsz_payload([bad, "1"]))]
+    code, out = _run_main(argv, capsys)
+    assert code == 1
+    assert out == {"error": f"bad rational {bad!r} in charge class"}
+
+
+def test_dsz_accepts_documented_rationals(capsys):
+    argv = ["cohomology", "dsz", "--json", json.dumps(_dsz_payload(["-3", 4]))]
+    assert _run_main(argv, capsys) == (0, {"coordinates": [-3, 4], "integral": True})
+    argv = ["cohomology", "dsz", "--json", json.dumps(_dsz_payload(["-6/2", "1/2"]))]
+    assert _run_main(argv, capsys) == (2, {"coordinates": None, "integral": False})
+
+
+def test_integer_literal_past_digit_limit_exit_one(capsys):
+    text = json.dumps(_dsz_payload(["0", "1"])).replace('"0"', "1" * 5000)
+    code, out = _run_main(["cohomology", "dsz", "--json", text], capsys)
+    assert code == 1
+    assert out["error"].startswith("input is not valid JSON")

@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from siegelkit import cli, local_systems
+from siegelkit import cli, exact_linalg, local_systems
 from siegelkit.errors import InvalidComplex, NotACocycle
-from siegelkit.exact_linalg import IntegerMatrix, inverse_unimodular, smith_normal_form
+from siegelkit.exact_linalg import (
+    IntegerMatrix,
+    inverse_unimodular,
+    rational_solve_many,
+    smith_normal_form,
+)
 from siegelkit.local_systems import (
     ChargeClass,
     TwistedComplex,
@@ -20,7 +25,7 @@ from siegelkit.local_systems import (
     two_torus_complex,
     validate_local_system,
 )
-from siegelkit.sampling import random_sl2z
+from siegelkit.sampling import random_lattice_type, random_sl2z, random_sp_t_element
 from siegelkit.symplectic_lattices import LatticeType
 
 T1 = LatticeType((1,))
@@ -476,3 +481,134 @@ def test_each_differential_built_once(monkeypatch):
         assert dsz_check(ChargeClass(vec), c).coordinates[0] == m
     assert sorted(built) == [0, 1, 2, 3]
     assert len(validations) == 1
+
+
+def _solve_dsz(c, vec):
+    """Oracle: solve [basis | d1] (m; w) = vec over Q afresh for one class.
+
+    Returns the coordinates m when they are integers, else None; asserts
+    that the system is consistent, as it is for every cocycle.
+    """
+    basis = charge_lattice_basis(c)
+    d1 = twisted_differential(c, 1)
+    rows = [[b[i] for b in basis] + list(d1.row(i)) for i in range(d1.rows)]
+    sol = rational_solve_many(rows, [vec])[0]
+    assert sol is not None
+    m = sol[: len(basis)]
+    if any(x.denominator != 1 for x in m):
+        return None
+    return tuple(int(x) for x in m)
+
+
+def _oracle_complexes(rng):
+    yield two_sphere_complex(T1)
+    for _ in range(3):
+        t = random_lattice_type(rng, rng.choice((1, 2)))
+        g = random_sp_t_element(rng, t, steps=4)
+        yield two_sphere_complex(t, transports=(g, g))
+    yield two_torus_complex(None, None, T1)
+    yield two_torus_complex(SHEAR, SHEAR, T1)
+    for _ in range(4):
+        g1 = random_sl2z(rng, 4)
+        g2 = I2
+        for _ in range(rng.randint(0, 2)):
+            g2 = g2 * g1
+        yield two_torus_complex(g1, g2 if rng.random() < 0.5 else -g2, T1)
+    for n in (1, 2):
+        yield four_torus_complex(random_lattice_type(rng, n))
+    # d2 x = -3 x_0 - 3 x_1 - 2 x_2 per coefficient: not every cochain is
+    # a cocycle, and the projector has the common denominator 3.
+    zeros = IntegerMatrix.zeros
+    b3 = IntegerMatrix([[-3], [-3], [-2]])
+    yield TwistedComplex((1, 2, 3, 1), (zeros(1, 2), zeros(2, 3), b3), (None, None), T1)
+
+
+def test_dsz_agrees_with_per_class_solve():
+    """Verdicts and coordinates equal the per-class rational solve."""
+    rng = random.Random(61)
+    seen = {True: 0, False: 0}
+    for c in _oracle_complexes(rng):
+        basis = charge_lattice_basis(c)
+        d1 = twisted_differential(c, 1)
+        d2 = twisted_differential(c, 2)
+        dim2 = d1.rows
+
+        def combo(coeffs):
+            vec = [Fraction(0)] * dim2
+            for m, b in zip(coeffs, basis):
+                vec = [x + m * y for x, y in zip(vec, b)]
+            return vec
+
+        def coboundary():
+            w = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d1.cols)]
+            return d1.apply(w)
+
+        classes = []
+        for _ in range(4):
+            vec = combo([rng.randint(-5, 5) for _ in basis])
+            classes.append(vec)
+            classes.append([a + b for a, b in zip(vec, coboundary())])
+            if basis:
+                classes.append([x + Fraction(y, 2) for x, y in zip(vec, basis[0])])
+            rational = combo([Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in basis])
+            classes.append([a + b for a, b in zip(rational, coboundary())])
+            classes.append([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim2)])
+        for vec in classes:
+            if d2 is not None and any(d2.apply(vec)):
+                with pytest.raises(NotACocycle):
+                    dsz_check(ChargeClass(vec), c)
+                continue
+            expected = _solve_dsz(c, vec)
+            verdict = dsz_check(ChargeClass(vec), c)
+            assert verdict.integral == (expected is not None)
+            assert verdict.coordinates == expected
+            seen[verdict.integral] += 1
+    assert min(seen.values()) >= 50
+
+
+def test_dsz_system_factored_once_per_complex(monkeypatch):
+    """One kernel and one RREF per complex, however many classes."""
+    calls = {"kernel_lattice": 0, "rational_rref": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    rref = counting("rational_rref", exact_linalg.rational_rref)
+    monkeypatch.setattr(exact_linalg, "rational_rref", rref)
+    monkeypatch.setattr(local_systems, "rational_rref", rref)
+    monkeypatch.setattr(
+        local_systems, "kernel_lattice", counting("kernel_lattice", local_systems.kernel_lattice)
+    )
+    c = four_torus_complex(LatticeType((1, 2)))
+    basis = charge_lattice_basis(c)
+    for m in range(3):
+        vec = [m * Fraction(x) for x in basis[0]]
+        assert dsz_check(ChargeClass(vec), c).coordinates[0] == m
+    assert calls == {"kernel_lattice": 1, "rational_rref": 1}
+
+    # A twisted torus: computing the basis itself solves once (the image
+    # of d1), then the factorization; later classes add nothing.
+    c = two_torus_complex(SHEAR, SHEAR, T1)
+    basis = charge_lattice_basis(c)
+    before = dict(calls)
+    for m in range(10):
+        vec = [m * Fraction(x) for x in basis[0]]
+        assert dsz_check(ChargeClass(vec), c).coordinates[0] == m
+    assert calls == before
+
+
+def test_charge_basis_copy_does_not_reach_verdicts():
+    c = two_sphere_complex(T1)
+    basis = charge_lattice_basis(c)
+    saved = list(basis)
+    vec = [Fraction(x) for x in basis[0]]
+    basis.reverse()
+    basis[0] = (0,) * len(vec)
+    basis.append(tuple(vec))
+    assert charge_lattice_basis(c) == saved
+    verdict = dsz_check(ChargeClass(vec), c)
+    assert verdict.integral and verdict.coordinates == (1, 0)
