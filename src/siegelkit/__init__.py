@@ -28,7 +28,6 @@ from .exact_linalg import (
     SnfDecomposition,
     determinant,
     inverse_unimodular,
-    is_unimodular,
     kernel_lattice,
     rank,
     smith_normal_form,

@@ -76,10 +76,12 @@ def _read_input(args):
 
 
 def _emit(args, payload):
-    if args.output == "text":
-        sys.stdout.write(_as_text(payload) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    with jsonio.whole_integers():
+        if args.output == "text":
+            text = _as_text(payload)
+        else:
+            text = json.dumps(payload, sort_keys=True)
+    sys.stdout.write(text + "\n")
 
 
 def _as_text(payload, indent=0):
@@ -284,11 +286,8 @@ def _cmd_cohomology(args):
         _emit(args, {"cohomology": out})
         return EXIT_OK
     if args.action == "charge-lattice":
-        basis = charge_lattice_basis(c)
-        _emit(
-            args,
-            {"rank": len(basis), "basis": [[str(x) for x in b] for b in basis]},
-        )
+        basis = [jsonio.encode_rational_vector(b) for b in charge_lattice_basis(c)]
+        _emit(args, {"rank": len(basis), "basis": basis})
         return EXIT_OK
     if args.action == "dsz":
         cls = jsonio.decode_charge_class(

@@ -380,10 +380,6 @@ def determinant(a: IntegerMatrix) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def is_unimodular(a: IntegerMatrix) -> bool:
-    return a.is_square() and abs(determinant(a)) == 1
-
-
 def inverse_unimodular(a: IntegerMatrix) -> IntegerMatrix:
     """Exact inverse of a unimodular integer matrix (inverse is integral)."""
     from .errors import NotUnimodular

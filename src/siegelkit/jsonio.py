@@ -7,10 +7,17 @@ every emitted document re-parses to an equal value. A rational is a JSON
 integer or a string "p" or "p/q" of decimal digits (p may carry a minus
 sign, q is positive); decimal points and exponents are refused, since
 "1e100000000" would ask for a 3.3e8-bit integer.
+
+Python's int/str digit limit (``sys.get_int_max_str_digits()``, 4300
+by default) bounds every integer read, so longer input is refused.
+Output is written whole: an answer computed from such integers can be
+longer than the limit (see whole_integers).
 """
 
+import contextlib
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -36,11 +43,40 @@ def _need(obj, key, where):
     return obj[key]
 
 
+@contextlib.contextmanager
+def whole_integers():
+    """Lift the int/str digit limit while output is written.
+
+    The limit guards reading, where a long decimal string costs
+    quadratic time to convert; it is restored on exit. An int the
+    program computed is converted once, on output. Interpreters without
+    the limit need nothing lifted.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _decimal(x) -> str:
+    """str(x) of an int or Fraction, also past the digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        with whole_integers():
+            return str(x)
+
+
 def encode_integer_matrix(m: IntegerMatrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[str(x) for x in m.row(i)] for i in range(m.rows)],
+        "entries": [[_decimal(x) for x in m.row(i)] for i in range(m.rows)],
     }
 
 
@@ -97,8 +133,8 @@ def decode_tol(obj, where):
 
 
 def encode_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    """"p/q", or "p" when q = 1."""
+    return _decimal(Fraction(x))
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")

@@ -16,7 +16,10 @@ exactly what the box filter would, in the same order:
 
 * centralizer_enumerate runs the coefficient box of the commutant
   lattice depth first on flat integer rows, restricting each coefficient
-  to the interval that can still keep every entry within the bound.
+  to the interval that can still keep every entry within the bound. The
+  last coefficient is not scanned: each column pairing is an integer
+  quadratic in it, so it is solved for, and only the integer roots in
+  its interval are tested for membership.
   Its budget counts the coefficient-box volume, checked up front.
 * _symplectic_box (the candidates of uduality_fiber_product) chooses
   matrix columns one at a time and keeps, for each later column, only
@@ -28,6 +31,7 @@ A refused search raises BoundTooLargeForBudget with the counts in
 """
 
 import itertools
+import math
 import os
 from fractions import Fraction
 from operator import mul
@@ -148,6 +152,69 @@ def _coefficient_box(basis, bound):
     return limits
 
 
+def _integer_roots(a, b, q, lo, hi):
+    """The integers c in [lo, hi] with a + b c + q c^2 = 0, ascending.
+
+    Precondition: (b, q) != (0, 0). Exact: a root of the linear case is
+    -a / b when b divides a; a quadratic has integer roots only when its
+    discriminant is a perfect square s^2, and then (-b +- s) / 2q when
+    2q divides the numerator.
+    """
+    if q == 0:
+        c, r = divmod(-a, b)
+        return [c] if r == 0 and lo <= c <= hi else []
+    disc = b * b - 4 * a * q
+    if disc < 0:
+        return []
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return []
+    roots = []
+    for num in {-b - s, -b + s}:
+        c, r = divmod(num, 2 * q)
+        if r == 0 and lo <= c <= hi:
+            roots.append(c)
+    return sorted(roots)
+
+
+def _last_coefficients(partial, v, lo, hi, t: LatticeType):
+    """The c in [lo, hi] for which X = P + c V can lie in Sp_t, ascending.
+
+    P (``partial``) and V (``v``) are row-major entry lists of 2n x 2n
+    matrices. Every column pairing of X against Omega_t is an integer
+    quadratic in c,
+
+        omega(X_i, X_j) - (Omega_t)_ij = a + b c + q c^2,
+        a = omega(P_i, P_j) - (Omega_t)_ij,
+        b = omega(P_i, V_j) + omega(V_i, P_j),  q = omega(V_i, V_j).
+
+    The pairs are taken in sp_type_membership's order. A constant pair
+    (b = q = 0) with a != 0 leaves no c; the first pair that depends on
+    c leaves only its integer roots; if every pair is constant and zero,
+    every c is left. Only the first such pair is solved, so the result
+    can hold non-members: it still has to pass sp_type_membership.
+    """
+    n = t.n
+    m = 2 * n
+    ts = t.entries
+    P = [partial[i::m] for i in range(m)]
+    V = [v[i::m] for i in range(m)]
+
+    def omega(x, y):
+        return sum(tk * (x[k] * y[n + k] - x[n + k] * y[k]) for k, tk in enumerate(ts))
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            q = omega(V[i], V[j])
+            b = omega(P[i], V[j]) + omega(V[i], P[j])
+            a = omega(P[i], P[j]) - (ts[i] if j == i + n else 0)
+            if b or q:
+                return _integer_roots(a, b, q, lo, hi)
+            if a:
+                return []
+    return range(lo, hi + 1)
+
+
 def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
     """All Siegel modular matrices within the entry box commuting with h.
 
@@ -157,9 +224,13 @@ def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
     row-major basis entries v_d. At each level c_d is restricted to the
     interval that keeps every entry e within bound + R_e, where R_e is
     the most the later levels can still move it (zero at the last
-    level), i.e. (+-(bound + R_e) - partial_e) / v_de. Only points in
-    the entry box become matrices and are tested for preservation of
-    the standard pairing.
+    level), i.e. (+-(bound + R_e) - partial_e) / v_de. At the last
+    level the candidates P + c V are not scanned: the column pairings
+    are integer quadratics in c, and only the integer roots in the
+    interval of the first pair that depends on c (see
+    _last_coefficients) become matrices and are tested with
+    sp_type_membership. Roots come in ascending order, so the output
+    keeps the lexicographic coefficient order.
 
     The budget counts the coefficient-box volume, prod (2 lim_i + 1),
     and is checked before the search.
@@ -207,11 +278,12 @@ def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
                 hi = min(hi, (r + p) // -x)
             elif abs(p) > r:
                 return
-        for c in range(lo, hi + 1):
+        if d + 1 < depth:
+            for c in range(lo, hi + 1):
+                descend(d + 1, [p + c * x for p, x in zip(partial, v)])
+            return
+        for c in _last_coefficients(partial, v, lo, hi, t):
             point = [p + c * x for p, x in zip(partial, v)]
-            if d + 1 < depth:
-                descend(d + 1, point)
-                continue
             X = IntegerMatrix._trusted(
                 tuple(tuple(point[i * m : (i + 1) * m]) for i in range(m))
             )

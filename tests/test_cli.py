@@ -13,7 +13,7 @@ from siegelkit.exact_linalg import IntegerMatrix
 from siegelkit.local_systems import charge_lattice_basis, two_sphere_complex, two_torus_complex
 from siegelkit.polarization import Taming, push_forward_taming, standard_taming_matrix
 from siegelkit.sampling import random_sp_t_element
-from siegelkit.siegel_group import AffineSymplectomorphism
+from siegelkit.siegel_group import AffineSymplectomorphism, aff_compose
 from siegelkit.symplectic_lattices import LatticeType, standard_gram, standard_space
 from siegelkit.uduality import UDualityElement, uduality_fiber_product
 
@@ -417,3 +417,46 @@ def test_integer_literal_past_digit_limit_exit_one(capsys):
     code, out = _run_main(["cohomology", "dsz", "--json", text], capsys)
     assert code == 1
     assert out["error"].startswith("input is not valid JSON")
+    # A digit string past the limit is refused as well.
+    argv = ["cohomology", "dsz", "--json", json.dumps(_dsz_payload(["9" * 4301, "1"]))]
+    code, out = _run_main(argv, capsys)
+    assert code == 1
+    assert out["error"].startswith("bad rational")
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_output_integers_past_digit_limit(output, capsys):
+    """Inputs at the digit limit give a longer answer, printed whole."""
+    c = two_sphere_complex(LatticeType((1,)))
+    request = {"complex": jsonio.encode_complex(c), "class": {"coefficients": ["9" * 4300] * 4}}
+    argv = ["cohomology", "dsz", "--output", output, "--json", json.dumps(request)]
+    assert cli.main(argv) == 0
+    twice = "1" + "9" * 4299 + "8"  # 2 (10^4300 - 1), 4301 digits
+    expected = {
+        "json": f'{{"coordinates": [{twice}, {twice}], "integral": true}}\n',
+        "text": f"coordinates:\n  {twice}\n  {twice}\nintegral: True\n",
+    }
+    assert capsys.readouterr().out == expected[output]
+    # The limit is back for the next input.
+    with pytest.raises(ValueError):
+        int(twice)
+
+
+def test_encoded_matrices_and_rationals_past_digit_limit(capsys):
+    """Matrix entries and rationals of an answer are encoded whole too."""
+    nines, sevens = "9" * 4300, "7" * 4300
+    x = {
+        "translation": [f"1/{nines}", f"1/{sevens}"],
+        "rotation": {"entries": [["1", nines], ["0", "1"]]},
+        "t": [1],
+    }
+    argv = ["aff", "compose", "--json", json.dumps({"x": x, "y": x})]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    with jsonio.whole_integers():
+        got = jsonio.decode_aff(json.loads(out))
+        want = aff_compose(jsonio.decode_aff(x), jsonio.decode_aff(x))
+    assert got == want
+    # 2 (10^4300 - 1) has 4301 digits; the translation's denominator more.
+    assert got.rotation[0, 1] == 2 * (10**4300 - 1)
+    assert got.translation[0].denominator > 10**4300

@@ -5,8 +5,8 @@ import pytest
 from siegelkit.errors import DegenerateForm, DimensionMismatch, NotAntisymmetric
 from siegelkit.exact_linalg import (
     IntegerMatrix,
+    determinant,
     inverse_unimodular,
-    is_unimodular,
     smith_normal_form,
 )
 from siegelkit.sampling import (
@@ -153,6 +153,11 @@ def test_isomorphism_type_mismatch_absent():
     assert lattice_isomorphism(a, b) is None
     with pytest.raises(DimensionMismatch):
         lattice_isomorphism(a, standard_space(LatticeType((1, 1))))
+
+
+def is_unimodular(a):
+    """The definition: square with determinant +-1."""
+    return a.is_square() and abs(determinant(a)) == 1
 
 
 def _membership_by_definition(gamma, t):

@@ -16,6 +16,8 @@ from siegelkit.uduality import (
     HolonomySubgroup,
     UDualityElement,
     _coefficient_box,
+    _integer_roots,
+    _last_coefficients,
     _symplectic_box,
     adjoint_map,
     centralizer_enumerate,
@@ -389,3 +391,100 @@ def test_fiber_product_n2_bound1_gate():
     ]
     assert [(e.isometry, e.rotation) for e in elements] == oracle
     assert len(oracle) > 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_centralizer_of_center_matches_naive_coefficient_loop(sign):
+    """+-I: the rank-4 commutant, every coefficient point in the entry box."""
+    h = HolonomySubgroup([I2 * sign], T1)
+    assert len(commutant_lattice(h)) == 4
+    for bound in (1, 2, 3, 4):
+        assert centralizer_enumerate(h, bound) == naive_centralizer(h, bound)
+
+
+def test_centralizer_of_j_matches_naive_coefficient_loop():
+    J = IntegerMatrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    h = HolonomySubgroup([J], T2)
+    assert len(commutant_lattice(h)) == 8
+    found = centralizer_enumerate(h, 1)
+    assert found == naive_centralizer(h, 1)
+    assert len(found) == 32
+
+
+def _flat(m):
+    return [x for row in m.to_lists() for x in row]
+
+
+def _unflat(v):
+    k = int(len(v) ** 0.5)
+    return IntegerMatrix([v[i * k : (i + 1) * k] for i in range(k)])
+
+
+# The last-level solver, on 2x2 candidates P + c V of type (1): the one
+# column pairing minus (Omega_t)_01 is det(P + c V) - 1.
+
+
+def test_last_coefficients_linear_case():
+    # det [[2, c], [1, 1]] - 1 = 1 - c: q = 0, one root.
+    assert _last_coefficients([2, 0, 1, 1], [0, 1, 0, 0], -3, 3, T1) == [1]
+    # det [[2, c], [2, 1]] - 1 = 1 - 2c: b does not divide a.
+    assert _last_coefficients([2, 0, 2, 1], [0, 1, 0, 0], -3, 3, T1) == []
+    assert _integer_roots(6, -3, 0, -5, 5) == [2]
+    assert _integer_roots(6, 3, 0, -5, 5) == [-2]
+
+
+def test_last_coefficients_non_square_discriminant():
+    # det [[c, 1], [1, c]] - 1 = c^2 - 2: discriminant 8.
+    assert _last_coefficients([0, 1, 1, 0], [1, 0, 0, 1], -5, 5, T1) == []
+    # A negative discriminant: c^2 + 1.
+    assert _integer_roots(1, 0, 1, -5, 5) == []
+
+
+def test_last_coefficients_roots_ascending_and_clipped():
+    # det [[c, 0], [0, c]] - 1 = c^2 - 1: roots -1 and 1.
+    P, V = [0, 0, 0, 0], [1, 0, 0, 1]
+    assert _last_coefficients(P, V, -5, 5, T1) == [-1, 1]
+    assert _last_coefficients(P, V, 0, 5, T1) == [1]
+    assert _last_coefficients(P, V, -5, 0, T1) == [-1]
+    assert _last_coefficients(P, V, 2, 5, T1) == []
+    # q < 0 flips the order of (-b - s) / 2q and (-b + s) / 2q.
+    assert _integer_roots(6, 1, -1, -5, 5) == [-2, 3]
+    # A double root: (c - 2)^2.
+    assert _integer_roots(4, -4, 1, -5, 5) == [2]
+
+
+def test_last_coefficients_constant_nonzero_pair():
+    # det [[1, c], [0, 2]] - 1 = 1 for every c.
+    assert _last_coefficients([1, 0, 0, 2], [0, 1, 0, 0], -3, 3, T1) == []
+    # A constant mismatch on the first pair of a 4x4 candidate leaves no c,
+    # even though a later pair depends on c.
+    P, V = _flat(IntegerMatrix.identity(4) * 2), [0] * 15 + [1]
+    assert _last_coefficients(P, V, -3, 3, T2) == []
+
+
+def test_last_coefficients_all_pairs_constant():
+    # det [[1, c], [0, 1]] - 1 = 0 for every c.
+    assert list(_last_coefficients([1, 0, 0, 1], [0, 1, 0, 0], -3, 3, T1)) == list(
+        range(-3, 4)
+    )
+
+
+def test_last_coefficients_keeps_every_member():
+    """Against scanning [lo, hi] with sp_type_membership, type (1, 2)."""
+    rng = random.Random(7)
+    t = LatticeType((1, 2))
+    for _ in range(200):
+        g = random_sp_t_element(rng, t, steps=3, entry_bound=3)
+        v = [rng.randint(-1, 1) for _ in range(16)]
+        c0 = rng.randint(-3, 3)
+        # P + c0 V = g, so c0 is a member.
+        partial = [x - c0 * y for x, y in zip(_flat(g), v)]
+        members = [
+            c
+            for c in range(-4, 5)
+            if sp_type_membership(_unflat([p + c * x for p, x in zip(partial, v)]), t)
+        ]
+        got = list(_last_coefficients(partial, v, -4, 4, t))
+        assert c0 in members
+        assert got == sorted(got) and set(members) <= set(got)
+        assert all(-4 <= c <= 4 for c in got)
