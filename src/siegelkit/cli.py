@@ -423,7 +423,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except BoundTooLargeForBudget as exc:
         payload = {"error": str(exc), "kind": type(exc).__name__, **exc.details}
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        # The counts can be longer than the int/str digit limit.
+        with jsonio.whole_integers():
+            text = json.dumps(payload, sort_keys=True)
+        sys.stdout.write(text + "\n")
         return EXIT_BUDGET
     except SiegelKitError as exc:
         payload = {"error": str(exc), "kind": type(exc).__name__}

@@ -18,10 +18,32 @@ build their results through the private trusted constructor
 ``IntegerMatrix._trusted`` and skip the per-entry checks.
 """
 
+import contextlib
+import sys
 from fractions import Fraction
 from math import lcm
 from numbers import Integral
 from operator import mul
+
+
+@contextlib.contextmanager
+def whole_integers():
+    """Lift the int/str digit limit while computed integers are written.
+
+    The limit guards reading, where a long decimal string costs
+    quadratic time to convert; it is restored on exit. An int the
+    program computed is converted once, on output or into an error
+    message. Interpreters without the limit need nothing lifted.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class IntegerMatrix:
@@ -397,8 +419,7 @@ def rational_rref(entries):
     Takes a list of row lists (any Fraction-convertible entries) and
     returns (rref_rows, pivot_columns). It factors the DSZ membership
     system once per complex (``local_systems._charge_system``) and
-    solves the systems of ``rational_solve_many`` and
-    ``rational_inverse``.
+    solves the systems of ``rational_solve_many``.
     """
     A = [[Fraction(x) for x in row] for row in entries]
     if not A:
@@ -426,21 +447,6 @@ def rational_rref(entries):
         piv_cols.append(c)
         r += 1
     return A, piv_cols
-
-
-def rational_inverse(entries):
-    """Exact inverse of a square matrix over Q; raises on singular input."""
-    A = [[Fraction(x) for x in row] for row in entries]
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise _dim("inverse needs a square matrix")
-    aug = [
-        A[i] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    R, piv = rational_rref(aug)
-    if piv[:n] != list(range(n)):
-        raise ValueError("matrix is singular over Q")
-    return [row[n:] for row in R[:n]]
 
 
 def rational_solve_many(entries, rhs_list):

@@ -14,16 +14,14 @@ Output is written whole: an answer computed from such integers can be
 longer than the limit (see whole_integers).
 """
 
-import contextlib
 import math
 import re
-import sys
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParseError
-from .exact_linalg import IntegerMatrix
+from .exact_linalg import IntegerMatrix, whole_integers
 from .field_calculus import FieldStrengthSample, PointFrame
 from .local_systems import ChargeClass, TwistedComplex
 from .polarization import (
@@ -41,26 +39,6 @@ def _need(obj, key, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"missing field {key!r} in {where}")
     return obj[key]
-
-
-@contextlib.contextmanager
-def whole_integers():
-    """Lift the int/str digit limit while output is written.
-
-    The limit guards reading, where a long decimal string costs
-    quadratic time to convert; it is restored on exit. An int the
-    program computed is converted once, on output. Interpreters without
-    the limit need nothing lifted.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _decimal(x) -> str:

@@ -21,10 +21,17 @@ exactly what the box filter would, in the same order:
   quadratic in it, so it is solved for, and only the integer roots in
   its interval are tested for membership.
   Its budget counts the coefficient-box volume, checked up front.
-* _symplectic_box (the candidates of uduality_fiber_product) chooses
-  matrix columns one at a time and keeps, for each later column, only
-  the candidates with the right pairing against the chosen ones. Its
-  budget counts these column tests.
+* uduality_fiber_product runs a column search (_symplectic_box) once
+  per isometry f. It chooses matrix columns one at a time and keeps,
+  for each later column, only the candidates with the right pairing
+  against the chosen ones. Its budget counts these column tests. Only
+  columns with the right taming norm enter the search: with q = f(p),
+  U J_p U^{-1} = J_q makes U an isometry of the taming forms,
+  U^T (Omega_t J_q) U = Omega_t J_p, so column j of U has norm
+  (Omega_t J_p)_jj under Omega_t J_q at every point p. Within the
+  residual tolerance the norm can miss by at most t_max tol |u_j|_1^2,
+  and the filter (_taming_norm_lists) admits that margin plus float64
+  rounding, so it drops no element the residual test keeps.
 
 A refused search raises BoundTooLargeForBudget with the counts in
 ``details``.
@@ -39,16 +46,13 @@ from operator import mul
 import numpy as np
 
 from .errors import BoundTooLargeForBudget, DimensionMismatch, InvalidModel, ParseError
-from .exact_linalg import (
-    IntegerMatrix,
-    kernel_lattice,
-    rational_inverse,
-)
+from .exact_linalg import IntegerMatrix, kernel_lattice, whole_integers
 from .polarization import Taming
 from .siegel_group import reduce_mod_lattice
 from .symplectic_lattices import (
     LatticeType,
     sp_type_membership,
+    standard_gram,
     symplectic_inverse,
 )
 
@@ -131,25 +135,27 @@ def commutant_lattice(h: HolonomySubgroup):
 def _coefficient_box(basis, bound):
     """Per-coefficient bounds that cover every lattice point in the entry box.
 
-    With B the matrix of vectorized basis elements, c = (B^T B)^{-1} B^T v
-    recovers coefficients from entries, so |c_i| is at most the l1 norm
-    of row i of that pseudo-inverse times the entry bound.
+    With B the matrix of vectorized basis elements and G = B^T B, the
+    coefficients of an entry vector v are c = G^{-1} B^T v, so |c_i| is
+    at most the l1 norm of row i of G^{-1} B^T times the entry bound.
+    The rows are computed in integers: fraction-free Gauss-Jordan
+    elimination turns [G | B^T] into [D I | N], with D = det G and
+    N = D G^{-1} B^T, so limit i is floor(bound sum_e |N_ie| / D). G is
+    positive definite, so every pivot (a leading principal minor) is
+    positive, no row swap is needed, and every division is exact.
     """
     vecs = [_vec(b) for b in basis]
-    B = [[Fraction(vecs[j][i]) for j in range(len(vecs))] for i in range(len(vecs[0]))]
-    Bt = list(map(list, zip(*B)))
-    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in Bt] for r1 in Bt]
-    gram_inv = rational_inverse(gram)
-    pseudo = [
-        [sum(a * b for a, b in zip(row, col)) for col in zip(*Bt)]
-        for row in gram_inv
-    ]
-    # pseudo = (B^T B)^{-1} B^T, with shape r x (entry count)
-    limits = []
-    for row in pseudo:
-        l1 = sum(abs(x) for x in row)
-        limits.append(int(l1 * bound))
-    return limits
+    r = len(vecs)
+    rows = [[sum(map(mul, u, v)) for v in vecs] + list(u) for u in vecs]
+    prev = 1
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        for i in range(r):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * a - f * b) // prev for a, b in zip(rows[i], pivot_row)]
+        prev = pivot
+    return [bound * sum(map(abs, row[r:])) // prev for row in rows]
 
 
 def _integer_roots(a, b, q, lo, hi):
@@ -246,12 +252,9 @@ def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
         volume *= 2 * lim + 1
     cap = search_budget(budget)
     if volume > cap:
-        raise BoundTooLargeForBudget(
-            f"coefficient box has {volume} points, budget is {cap}",
-            budget=cap,
-            volume=volume,
-            limits=limits,
-        )
+        with whole_integers():
+            message = f"coefficient box has {volume} points, budget is {cap}"
+        raise BoundTooLargeForBudget(message, budget=cap, volume=volume, limits=limits)
     m = h.size
     t = h.type
     vecs = [[x for i in range(m) for x in b.row(i)] for b in basis]
@@ -385,36 +388,48 @@ class UDualityElement:
         )
 
 
-def _symplectic_box(t: LatticeType, bound: int, budget):
-    """All Siegel modular matrices of type t with entries in [-bound, bound].
+def _box_columns(t: LatticeType, bound: int, cap: int):
+    """The nonzero columns with entries in [-bound, bound], in product order.
 
-    Columns are chosen one at a time from the (2b+1)^(2n) - 1 nonzero
-    box columns (b = bound). Once column j is chosen, the candidate
-    list of every later column l keeps only the columns c whose pairing
-    omega(c_j, c) = sum_k t_k (a_jk b_k - b_jk a_k), with a and b the
-    top and bottom halves, equals Omega_t[j][l] (forward checking). A
-    matrix whose column pairs all match Omega_t is in Sp_t(2n, Z) (see
-    sp_type_membership), so every full choice is a member. The result
-    is sorted by row-major entries.
+    Refuses, before any column is built, a search whose first level
+    alone takes more than ``cap`` tests (see _symplectic_box).
+    """
+    m = 2 * t.n
+    first = (2 * bound + 1) ** (2 * m) * (m - 1)
+    if first > cap:
+        with whole_integers():
+            message = f"first column level takes up to {first} tests, budget is {cap}"
+        raise BoundTooLargeForBudget(message, budget=cap, tested=0)
+    cells = range(-bound, bound + 1)
+    return [c for c in itertools.product(cells, repeat=m) if any(c)]
+
+
+def _symplectic_box(t: LatticeType, bound: int, budget, lists=None):
+    """The Siegel modular matrices of type t whose column j is in lists[j].
+
+    ``lists`` defaults to the (2b+1)^(2n) - 1 nonzero box columns (b =
+    bound) for every column, which gives all of Sp_t(2n, Z) with entries
+    in [-bound, bound]; uduality_fiber_product passes shorter lists.
+    Columns are chosen one at a time. Once column j is chosen, the
+    candidate list of every later column l keeps only the columns c
+    whose pairing omega(c_j, c) = sum_k t_k (a_jk b_k - b_jk a_k), with
+    a and b the top and bottom halves, equals Omega_t[j][l] (forward
+    checking). A matrix whose column pairs all match Omega_t is in
+    Sp_t(2n, Z) (see sp_type_membership), so every full choice is a
+    member. The result is sorted by row-major entries.
 
     The budget counts column tests, one per candidate per pairing.
     The first level alone takes up to (2b+1)^(4n) (2n - 1) tests; the
-    search is refused before it starts when that is over budget, and
-    otherwise as soon as the running count passes the budget.
+    search is refused before it starts (and before the box columns are
+    built, see _box_columns) when that is over budget, and otherwise as
+    soon as the running count passes the budget.
     """
     n = t.n
     m = 2 * n
     ts = t.entries
     cap = search_budget(budget)
-    first = (2 * bound + 1) ** (2 * m) * (m - 1)
-    if first > cap:
-        raise BoundTooLargeForBudget(
-            f"first column level takes up to {first} tests, budget is {cap}",
-            budget=cap,
-            tested=0,
-        )
-    cells = range(-bound, bound + 1)
-    columns = [c for c in itertools.product(cells, repeat=m) if any(c)]
+    if lists is None:
+        lists = [_box_columns(t, bound, cap)] * m
     found = []
     tested = 0
 
@@ -446,9 +461,51 @@ def _symplectic_box(t: LatticeType, bound: int, budget):
             if len(rest) == m - 1 - j:
                 extend(chosen + (c,), rest)
 
-    extend((), [columns] * m)
+    extend((), lists)
     rows = sorted(tuple(zip(*cols)) for cols in found)
     return [IntegerMatrix._trusted(r) for r in rows]
+
+
+def _taming_norm_lists(columns, model: FiniteScalarModel, t: LatticeType, bound, tol):
+    """Per isometry f, per column j, the columns that pass the norm test.
+
+    A column x of ``columns`` is kept for column j of U when at every
+    point p, with q = f(p), A = Omega_t J_q and Q = Omega_t J_p,
+
+        |x^T A x - Q_jj| <= t_max (tol + delta) |x|_1^2
+                            + 1e-12 (|x|^T |A| |x| + |Q_jj|).
+
+    Why no element is lost: for U in Sp_t and E = U J_p U^{-1} - J_q,
+    U^T A U = Q - U^T Omega_t E U, and entry jj of the last term is at
+    most |u_j|_1^2 t_max max|E| in absolute value. The residual test
+    keeps U when max|E| <= tol in float64; delta = 2^-50 (tol + m^3 b^2
+    (t_max / t_min) max|J|) bounds how far the exact max|E| can then
+    exceed tol (products of m x m matrices with entries up to b, the
+    inverse's up to b t_max / t_min). The last term bounds the rounding
+    of the computed quadratic forms. Neither omega = Omega_t nor a
+    definite Q is needed. The kept columns stay in product order.
+    """
+    m = 2 * t.n
+    ts = t.entries
+    omega = np.array(standard_gram(t).to_lists(), dtype=float)
+    C = np.array(columns, dtype=float)
+    absC = np.abs(C)
+    Js = [tm.J for tm in model.tamings]
+    A = [omega @ J for J in Js]
+    norms = [np.einsum("ka,ab,kb->k", C, a, C) for a in A]
+    scales = [np.einsum("ka,ab,kb->k", absC, np.abs(a), absC) for a in A]
+    jmax = max(float(np.max(np.abs(J))) for J in Js)
+    delta = 2.0**-50 * (tol + m**3 * bound**2 * (max(ts) / min(ts)) * jmax)
+    margin = max(ts) * (tol + delta) * absC.sum(axis=1) ** 2
+    out = []
+    for perm in model.isometries:
+        keep = np.ones((m, len(columns)), dtype=bool)
+        for p, q in enumerate(perm):
+            Q = np.diag(A[p])[:, None]
+            slop = 1e-12 * (scales[q] + np.abs(Q))
+            keep &= np.abs(norms[q] - Q) <= margin + slop
+        out.append([[columns[i] for i in np.flatnonzero(row)] for row in keep])
+    return out
 
 
 def uduality_fiber_product(
@@ -460,12 +517,16 @@ def uduality_fiber_product(
 ):
     """All pairs (f, U) in the box with U J(p) U^{-1} = J(f(p)) at every point.
 
-    The candidates U are the box of Sp_t(2n, Z) from the column search
-    of _symplectic_box, whose budget counts column tests. Each point p
-    costs one batched numpy step, U J(p) U^{-1} for all candidates at
-    once, with U^{-1} the exact symplectic inverse; a pair is kept when
-    every point's residual has max abs at most tol. Output is ordered by
-    isometry, then by the row-major entries of U.
+    For each isometry f, the candidates U are the column search of
+    _symplectic_box over the box columns that pass the taming norm test
+    of _taming_norm_lists for f, a test that every kept U passes. The
+    budget is checked up front as for the full box, before the columns
+    are filtered, and each isometry's search counts its column tests
+    against it. Each point p costs one batched numpy step,
+    U J(p) U^{-1} for all candidates at once, with U^{-1} the exact
+    symplectic inverse; a pair is kept when every point's residual has
+    max abs at most tol. Output is ordered by isometry, then by the
+    row-major entries of U.
 
     The lattice type defaults to the principal type of the tamings'
     rank. Elements are returned with no torus part: torus translations
@@ -477,20 +538,23 @@ def uduality_fiber_product(
         t = LatticeType.principal(n)
     if tol is None:
         tol = max(max(tm.tol for tm in model.tamings), 1e-9)
-    candidates = _symplectic_box(t, bound, budget)
-    if not candidates:
-        return []
-    U = np.array([c.to_lists() for c in candidates], dtype=float)
-    Uinv = np.array(
-        [symplectic_inverse(c, t).to_lists() for c in candidates], dtype=float
-    )
+    cap = search_budget(budget)
+    columns = _box_columns(t, bound, cap)
     Js = [tm.J for tm in model.tamings]
-    moved = [U @ J @ Uinv for J in Js]
     out = []
-    for f_idx, perm in enumerate(model.isometries):
+    for f_idx, (perm, lists) in enumerate(
+        zip(model.isometries, _taming_norm_lists(columns, model, t, bound, tol))
+    ):
+        candidates = _symplectic_box(t, bound, cap, lists)
+        if not candidates:
+            continue
+        U = np.array([c.to_lists() for c in candidates], dtype=float)
+        Uinv = np.array(
+            [symplectic_inverse(c, t).to_lists() for c in candidates], dtype=float
+        )
         ok = np.ones(len(candidates), dtype=bool)
         for p, q in enumerate(perm):
-            ok &= np.max(np.abs(moved[p] - Js[q]), axis=(1, 2)) <= tol
+            ok &= np.max(np.abs(U @ Js[p] @ Uinv - Js[q]), axis=(1, 2)) <= tol
         out.extend(
             UDualityElement(f_idx, U_) for U_, keep in zip(candidates, ok) if keep
         )

