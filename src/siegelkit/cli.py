@@ -30,6 +30,7 @@ from .local_systems import (
     validate_local_system,
 )
 from .polarization import (
+    DEFAULT_TOL,
     push_forward_taming,
     q_metric,
     taming_from_siegel_point,
@@ -166,12 +167,13 @@ def _cmd_aff(args):
 
 def _cmd_taming(args):
     data = _read_input(args)
-    tol = args.tol if args.tol is not None else None
+    tol = args.tol
     if args.action == "validate":
         J = jsonio.decode_float_matrix(jsonio._need(data, "J", "taming"), "taming")
         omega = jsonio.decode_integer_matrix(jsonio._need(data, "omega", "taming"))
-        use_tol = tol if tol is not None else jsonio.decode_tol(data, "taming")
-        report = validate_taming(J, omega, use_tol)
+        if tol is None:
+            tol = jsonio.decode_tol(data.get("tol", DEFAULT_TOL), "taming")
+        report = validate_taming(J, omega, tol)
         _emit(args, report.as_dict())
         return EXIT_OK if report.passed else EXIT_VALIDATION
     if args.action == "from-siegel":
@@ -361,8 +363,15 @@ def _cmd_selftest(args):
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as malformed input (exit 1, one JSON line)."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siegel-kit",
         description="Exact computations for integral symplectic lattices, "
         "Siegel groups, tamings, twisted cohomology and U-duality.",
@@ -375,7 +384,9 @@ def build_parser():
         p.add_argument(
             "--output", choices=("json", "text"), default="json", help="output format"
         )
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument(
+            "--tol", type=lambda x: jsonio.decode_tol(x, "--tol"), help="tolerance override"
+        )
 
     for name, actions, func in (
         ("lattice", ("type", "frobenius", "member", "isom"), _cmd_lattice),
@@ -414,9 +425,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True) + "\n")

@@ -7,7 +7,9 @@ the package is validated against.
 
 Smith normal form follows a fixed pivot rule (smallest absolute value,
 scanning rows then columns) so its output is deterministic for a given
-input.
+input. It is used only where invariant factors or a kernel basis are
+the answer; inverses and coordinates come from ``left_inverse``, the
+one fraction-free Gauss-Jordan elimination.
 
 Validation contract: an ``IntegerMatrix`` is validated once, when it is
 built by its public constructor (rectangular, nonempty, every entry an
@@ -402,15 +404,42 @@ def determinant(a: IntegerMatrix) -> int:
     return sign * M[n - 1][n - 1]
 
 
+def left_inverse(vecs):
+    """(D, N) with N = D (B^T B)^-1 B^T for B with columns ``vecs``, or None.
+
+    N v / D are the coordinates of any v in the column span of B.
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) turns
+    [G | B^T], G = B^T B, into [D I | N] with D = det G. Pivot k is the
+    leading principal minor of order k + 1 of G: zero exactly at the
+    first dependent column (the result is then None), so no row swap is
+    needed and every division is exact.
+    """
+    r = len(vecs)
+    rows = [[_dot(u, v) for v in vecs] + list(u) for u in vecs]
+    prev = 1
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if pivot == 0:
+            return None
+        for i in range(r):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * a - f * b) // prev for a, b in zip(rows[i], pivot_row)]
+        prev = pivot
+    return prev, tuple(tuple(row[r:]) for row in rows)
+
+
 def inverse_unimodular(a: IntegerMatrix) -> IntegerMatrix:
-    """Exact inverse of a unimodular integer matrix (inverse is integral)."""
+    """Exact inverse of a unimodular integer matrix (inverse is integral).
+
+    For square A, ``left_inverse`` gives D = det(A)^2 and N = D A^-1.
+    """
     from .errors import NotUnimodular
 
-    snf = smith_normal_form(a)
-    if not a.is_square() or snf.diagonal() != (1,) * a.rows:
+    inv = left_inverse(a.transpose()._entries) if a.is_square() else None
+    if inv is None or inv[0] != 1:
         raise NotUnimodular("matrix is not invertible over Z")
-    # U A V = I  =>  A^{-1} = V U.
-    return snf.V * snf.U
+    return IntegerMatrix._trusted(inv[1])
 
 
 def rational_rref(entries):

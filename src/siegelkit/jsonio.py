@@ -105,9 +105,12 @@ def decode_float_vector(obj, where="vector"):
     return tuple(decode_float(x, where) for x in obj)
 
 
-def decode_tol(obj, where):
-    """The optional ``"tol"`` field of a request, DEFAULT_TOL when absent."""
-    return decode_float(obj.get("tol", DEFAULT_TOL), where)
+def decode_tol(x, where="tolerance") -> float:
+    """A ``"tol"`` field or ``--tol`` value: finite and >= 0 (0 is exact mode)."""
+    tol = decode_float(x, where)
+    if tol < 0:
+        raise ParseError(f"tolerance must be >= 0, got {x!r} in {where}")
+    return tol
 
 
 def encode_rational(x: Fraction) -> str:
@@ -225,7 +228,7 @@ def decode_taming(obj, where="taming", tol_override=None) -> Taming:
     omega = decode_integer_matrix(_need(obj, "omega", where), where)
     tol = tol_override
     if tol is None:
-        tol = decode_tol(obj, where)
+        tol = decode_tol(obj.get("tol", DEFAULT_TOL), where)
     return Taming(J, omega, tol)
 
 
@@ -341,7 +344,7 @@ def decode_scalar_model(obj, where="scalar model") -> FiniteScalarModel:
     points = decode_integer(_need(obj, "points", where), where)
     isometries = _need(obj, "isometries", where)
     omega = decode_integer_matrix(_need(obj, "omega", where), where)
-    tol = decode_tol(obj, where)
+    tol = decode_tol(obj.get("tol", DEFAULT_TOL), where)
     tamings = [
         Taming(decode_float_matrix(J, where), omega, tol)
         for J in _need(obj, "tamings", where)

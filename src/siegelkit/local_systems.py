@@ -25,6 +25,10 @@ with the report when it is invalid. So they accept exactly the complexes
 the validator calls valid (the charge lattice and the DSZ check also
 need dimension >= 2).
 
+Cohomology is computed in integers, without Fractions: inverses and
+image coordinates come from ``exact_linalg.left_inverse``, and an SNF
+only where a kernel basis or invariant factors are the answer.
+
 Charge classes are stored in units of 2 pi, which keeps every check
 rational and exact. The DSZ membership system is factored once per
 complex: the charge basis and an integer projector onto its coordinates
@@ -42,11 +46,11 @@ from .exact_linalg import (
     IntegerMatrix,
     inverse_unimodular,
     kernel_lattice,
+    left_inverse,
     rational_rref,
-    rational_solve_many,
     smith_normal_form,
 )
-from .symplectic_lattices import LatticeType, sp_type_membership, symplectic_inverse
+from .symplectic_lattices import LatticeType, sp_type_membership
 
 
 class TwistedComplex:
@@ -70,16 +74,13 @@ class TwistedComplex:
                     f"expected {(cells[k], cells[k + 1])}"
                 )
         n_edges = cells[1] if len(cells) > 1 else 0
-        if isinstance(transports, dict):
-            table = [None] * n_edges
-            for e, g in transports.items():
-                table[e] = g
-            transports = table
         transports = list(transports)
         if len(transports) != n_edges:
             raise InvalidComplex(
                 f"need {n_edges} transports (one per 1-cell), got {len(transports)}"
             )
+        if any(g is not None and not isinstance(g, IntegerMatrix) for g in transports):
+            raise InvalidComplex("each transport must be an IntegerMatrix or None")
         ident = IntegerMatrix.identity(2 * type.n)
         transports = tuple(ident if g is None else g for g in transports)
         if words is not None:
@@ -179,22 +180,6 @@ class TwistedComplex:
         if at != start:
             raise InvalidComplex(f"2-cell {f}: boundary walk does not close up")
         return tuple(word)
-
-
-def _inverter(c: TwistedComplex):
-    """Inverse for products of c's transports.
-
-    When every transport lies in Sp_t(2n, Z), so does every product, and
-    the closed form applies; otherwise fall back to the SNF inverse.
-    """
-    t = c.type
-    try:
-        closed = all(sp_type_membership(g, t) for g in c.transports)
-    except DimensionMismatch:
-        closed = False
-    if closed:
-        return lambda g: symplectic_inverse(g, t)
-    return inverse_unimodular
 
 
 class LocalSystemReport:
@@ -346,20 +331,18 @@ def twisted_differential(c: TwistedComplex, k: int) -> IntegerMatrix:
             for i in range(N):
                 rows[N * e + i][N * t + i] -= 1
     elif k == 1 and not c.is_untwisted():
-        inverse = _inverter(c)
+        # Walking the word multiplies the holonomy g by rho (or rho^-1)
+        # on the left, so g^-1 takes rho^-1 (or rho) on the right.
+        inverses = [inverse_unimodular(rho) for rho in c.transports]
         for f in range(c.cells[2]):
-            word = c.attaching_word(f)
-            g = IntegerMatrix.identity(N)
-            for e, s in word:
-                rho = c.transports[e]
+            g_inv = IntegerMatrix.identity(N)
+            for e, s in c.attaching_word(f):
                 if s == 1:
-                    g = rho * g
-                    block = inverse(g)
-                    _block_insert(rows, block.to_lists(), N * f, N * e)
+                    g_inv = g_inv * inverses[e]
+                    _block_insert(rows, g_inv.to_lists(), N * f, N * e)
                 else:
-                    block = -inverse(g)
-                    _block_insert(rows, block.to_lists(), N * f, N * e)
-                    g = inverse(rho) * g
+                    _block_insert(rows, (-g_inv).to_lists(), N * f, N * e)
+                    g_inv = g_inv * c.transports[e]
     else:
         b = c.boundaries[k].to_lists()
         for j in range(c.cells[k + 1]):
@@ -418,19 +401,23 @@ class CohomologyResult:
 
 
 def twisted_cohomology(c: TwistedComplex, k: int) -> CohomologyResult:
-    """Cohomology of the twisted cochain complex in degree k."""
+    """Cohomology of the twisted cochain complex in degree k.
+
+    K, the kernel basis of d_k, is saturated and contains im d_{k-1}
+    (validation tests d_k d_{k-1} = 0), so with (D, N) its
+    ``left_inverse`` the image has integer coordinates R = N d_{k-1} / D.
+    If U R V is the SNF of R, the columns of K U^-1 past rank R are the
+    free generators, and the invariant factors above 1 are the torsion.
+    """
     if k < 0 or k > c.dimension:
         return CohomologyResult(k, 0, (), ())
     diffs = _differentials(c)
-    N = c.coeff_rank
-    dim_k = N * c.cells[k]
+    dim_k = c.coeff_rank * c.cells[k]
     dk = diffs[k] if k < c.dimension else None
     dk_prev = diffs[k - 1] if k > 0 else None
 
     if dk is None:
-        kernel = [
-            tuple(1 if i == j else 0 for i in range(dim_k)) for j in range(dim_k)
-        ]
+        kernel = [tuple(int(i == j) for i in range(dim_k)) for j in range(dim_k)]
     else:
         kernel = kernel_lattice(dk)
     r = len(kernel)
@@ -439,25 +426,15 @@ def twisted_cohomology(c: TwistedComplex, k: int) -> CohomologyResult:
     if dk_prev is None or dk_prev.is_zero():
         return CohomologyResult(k, r, (), kernel)
 
-    K = IntegerMatrix([[kernel[j][i] for j in range(r)] for i in range(dim_k)])
-    sols = rational_solve_many(
-        K.to_lists(), [dk_prev.column_vector(j) for j in range(dk_prev.cols)]
-    )
-    image_cols = []
-    for sol in sols:
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise InvalidComplex(
-                "image of the twisted differential leaves the cocycle lattice"
-            )
-        image_cols.append([int(x) for x in sol])
-    R = IntegerMatrix([[image_cols[j][i] for j in range(len(image_cols))]
-                       for i in range(r)])
+    D, N = left_inverse(kernel)
+    scaled = (IntegerMatrix._trusted(N) * dk_prev).to_lists()
+    if any(x % D for row in scaled for x in row):
+        raise InvalidComplex("image of the twisted differential leaves the cocycle lattice")
+    R = IntegerMatrix._trusted(tuple(tuple(x // D for x in row) for row in scaled))
     snf = smith_normal_form(R)
-    factors = snf.diagonal()
-    rank_R = sum(1 for d in factors if d != 0)
-    torsion = tuple(d for d in factors if d > 1)
-    Uinv = inverse_unimodular(snf.U)
-    gens = K * Uinv
+    rank_R = snf.rank()
+    torsion = tuple(d for d in snf.invariant_factors() if d > 1)
+    gens = IntegerMatrix._trusted(tuple(zip(*kernel))) * inverse_unimodular(snf.U)
     free_basis = [gens.column_vector(j) for j in range(rank_R, r)]
     return CohomologyResult(k, r - rank_R, torsion, free_basis)
 

@@ -46,7 +46,7 @@ from operator import mul
 import numpy as np
 
 from .errors import BoundTooLargeForBudget, DimensionMismatch, InvalidModel, ParseError
-from .exact_linalg import IntegerMatrix, kernel_lattice, whole_integers
+from .exact_linalg import IntegerMatrix, kernel_lattice, left_inverse, whole_integers
 from .polarization import Taming
 from .siegel_group import reduce_mod_lattice
 from .symplectic_lattices import (
@@ -135,27 +135,13 @@ def commutant_lattice(h: HolonomySubgroup):
 def _coefficient_box(basis, bound):
     """Per-coefficient bounds that cover every lattice point in the entry box.
 
-    With B the matrix of vectorized basis elements and G = B^T B, the
-    coefficients of an entry vector v are c = G^{-1} B^T v, so |c_i| is
-    at most the l1 norm of row i of G^{-1} B^T times the entry bound.
-    The rows are computed in integers: fraction-free Gauss-Jordan
-    elimination turns [G | B^T] into [D I | N], with D = det G and
-    N = D G^{-1} B^T, so limit i is floor(bound sum_e |N_ie| / D). G is
-    positive definite, so every pivot (a leading principal minor) is
-    positive, no row swap is needed, and every division is exact.
+    With B the matrix of vectorized basis elements (independent, so
+    ``left_inverse`` exists) and N = D (B^T B)^-1 B^T, the coefficients
+    of an entry vector v are c = N v / D, so limit i is
+    floor(bound sum_e |N_ie| / D).
     """
-    vecs = [_vec(b) for b in basis]
-    r = len(vecs)
-    rows = [[sum(map(mul, u, v)) for v in vecs] + list(u) for u in vecs]
-    prev = 1
-    for k, pivot_row in enumerate(rows):
-        pivot = pivot_row[k]
-        for i in range(r):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pivot * a - f * b) // prev for a, b in zip(rows[i], pivot_row)]
-        prev = pivot
-    return [bound * sum(map(abs, row[r:])) // prev for row in rows]
+    D, N = left_inverse([_vec(b) for b in basis])
+    return [bound * sum(map(abs, row)) // D for row in N]
 
 
 def _integer_roots(a, b, q, lo, hi):

@@ -12,7 +12,7 @@ from siegelkit import cli, jsonio, selftest
 from siegelkit.exact_linalg import IntegerMatrix
 from siegelkit.local_systems import charge_lattice_basis, two_sphere_complex, two_torus_complex
 from siegelkit.polarization import Taming, push_forward_taming, standard_taming_matrix
-from siegelkit.sampling import random_sp_t_element
+from siegelkit.sampling import random_field_sample, random_sp_t_element, random_taming
 from siegelkit.siegel_group import AffineSymplectomorphism, aff_compose
 from siegelkit.symplectic_lattices import LatticeType, standard_gram, standard_space
 from siegelkit.uduality import (
@@ -420,6 +420,55 @@ def test_malformed_numbers_exit_one(argv, payload, capsys):
     assert code == 1
     assert set(out) == {"error"}
     assert out["error"].startswith(("bad number", "expected a list"))
+
+
+_ONE_POINT = {"points": 1, "isometries": [[0]], "omega": _TAMING["omega"], "tamings": [_TAMING["J"]]}
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["uduality", "fiber-product", "--bound", "1", "--tol=nan"], _ONE_POINT),
+        (["uduality", "fiber-product", "--bound", "1", "--tol=-1"], _ONE_POINT),
+        (["uduality", "fiber-product", "--bound", "1", "--tol", "abc"], _ONE_POINT),
+        (["uduality", "fiber-product", "--bound", "1", "--budget", "abc"], _ONE_POINT),
+        (["uduality", "fiber-product", "--bound", "x"], _ONE_POINT),
+        (["uduality", "fiber-product", "--bound", "1"], {**_ONE_POINT, "tol": -1}),
+        (["taming", "validate"], {**_TAMING, "tol": -1}),
+        (["taming", "validate", "--tol=-1e-9"], _TAMING),
+    ],
+    ids=["tol-nan", "tol-negative", "tol-text", "budget-text", "bound-text",
+         "model-tol-negative", "json-tol-negative", "option-tol-negative"],
+)
+def test_bad_option_and_tol_values_exit_one(argv, payload, capsys):
+    """Option values and JSON tolerances: one JSON error line, exit 1."""
+    code = cli.main(argv + ["--json", json.dumps(payload)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    assert set(json.loads(captured.out)) == {"error"}
+
+
+def test_tol_zero_is_exact_mode(capsys):
+    argv = ["uduality", "fiber-product", "--bound", "1", "--tol", "0", "--json", json.dumps(_ONE_POINT)]
+    code, out = _run_main(argv, capsys)
+    assert code == 0
+    assert out["count"] == 4 and out["closure"]["closed"]
+
+
+def test_field_calls_accept_every_constructed_taming(capsys):
+    """A taming that passes its constructor is not refused again downstream."""
+    tm = random_taming(random.Random(1037), LatticeType((2, 6)), eps=1e-5)
+    sample = random_field_sample(random.Random(1), 2)
+    payload = {
+        "frame": _FIELD["frame"],
+        "taming": jsonio.encode_taming(tm),
+        "F_sample": jsonio.encode_field_sample(sample),
+    }
+    for action in ("project", "residual", "stress"):
+        code, out = _run_main(["field", action, "--json", json.dumps(payload)], capsys)
+        assert code == 0, out
 
 
 _S_GEN = {"generators": [{"entries": [["0", "-1"], ["1", "0"]]}], "t": [1]}

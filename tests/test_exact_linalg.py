@@ -10,11 +10,13 @@ from siegelkit.exact_linalg import (
     determinant,
     inverse_unimodular,
     kernel_lattice,
+    left_inverse,
     rank,
     rational_rref,
     rational_solve_many,
     smith_normal_form,
 )
+from siegelkit.sampling import random_unimodular
 
 
 def test_snf_zero_matrix():
@@ -98,6 +100,11 @@ def test_inverse_unimodular():
     assert inverse_unimodular(U) * U == IntegerMatrix.identity(2)
     with pytest.raises(NotUnimodular):
         inverse_unimodular(IntegerMatrix([[2, 0], [0, 1]]))
+    rng = random.Random(8)
+    for size in range(1, 7):
+        A = random_unimodular(rng, size)
+        inv = inverse_unimodular(A)
+        assert inv * A == A * inv == IntegerMatrix.identity(size)
 
 
 def test_matrix_shape_errors():
@@ -128,6 +135,53 @@ def test_rational_solve_and_inverse():
     assert rational_solve_many([[1, 0], [1, 0]], [[1, 2]])[0] is None
     inv = rational_inverse(A)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+
+
+def fraction_pseudo_inverse(vecs):
+    """(B^T B)^-1 B^T over Q, B the matrix with columns vecs."""
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
+    ginv = rational_inverse(gram)
+    return [
+        [sum(g * v[e] for g, v in zip(row, vecs)) for e in range(len(vecs[0]))]
+        for row in ginv
+    ]
+
+
+@pytest.mark.parametrize("m,r", [(1, 1), (2, 2), (4, 4), (6, 6), (3, 1), (5, 2), (8, 3), (9, 5)])
+def test_left_inverse_matches_fraction_pseudo_inverse(m, r):
+    rng = random.Random(1000 * m + r)
+    for _ in range(10):
+        while True:
+            vecs = [tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(r)]
+            if rank(IntegerMatrix(vecs)) == r:
+                break
+        D, N = left_inverse(vecs)
+        gram = IntegerMatrix(vecs) * IntegerMatrix(vecs).transpose()
+        assert D == determinant(gram) > 0
+        assert [[Fraction(x, D) for x in row] for row in N] == fraction_pseudo_inverse(vecs)
+
+
+def test_left_inverse_none_on_dependent_columns():
+    rng = random.Random(77)
+    assert left_inverse([(0, 0, 0)]) is None
+    assert left_inverse([(1, 2), (2, 4)]) is None
+    for _ in range(30):
+        m = rng.randint(2, 6)
+        vecs = [tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(rng.randint(1, m - 1))]
+        coeffs = [rng.randint(-3, 3) for _ in vecs]
+        combo = tuple(sum(c * v[e] for c, v in zip(coeffs, vecs)) for e in range(m))
+        vecs.insert(rng.randint(0, len(vecs)), combo)
+        assert left_inverse(vecs) is None
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[1, 2], [2, 4]], [[2, 0], [0, 1]], [[1, 0], [0, 1], [0, 0]]],
+    ids=["singular", "determinant-2", "tall-gram-determinant-1"],
+)
+def test_inverse_unimodular_refuses(entries):
+    with pytest.raises(NotUnimodular):
+        inverse_unimodular(IntegerMatrix(entries))
 
 
 def test_immutability():

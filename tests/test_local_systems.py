@@ -8,7 +8,6 @@ from siegelkit import cli, exact_linalg, local_systems
 from siegelkit.errors import InvalidComplex, NotACocycle
 from siegelkit.exact_linalg import (
     IntegerMatrix,
-    inverse_unimodular,
     rational_solve_many,
     smith_normal_form,
 )
@@ -90,8 +89,15 @@ def test_validate_bad_transport():
     assert report.transport_failures == [{"edge": 0}]
 
 
-def test_word_holonomy_matches_snf_inverses():
-    """Closed-form inverses for Sp_t transports, SNF inverses for the rest."""
+def adjugate_inverse(g):
+    """Inverse of a 2x2 integer matrix of determinant +-1: det [[d, -b], [-c, a]]."""
+    (a, b), (c, d) = g.to_lists()
+    det = a * d - b * c
+    return IntegerMatrix([[det * d, -det * b], [-det * c, det * a]])
+
+
+def test_word_holonomy_matches_adjugate_inverses():
+    """d1 blocks are inverse holonomies, for Sp_t and other unimodular transports."""
     rng = random.Random(12)
     flip = IntegerMatrix([[1, 0], [0, -1]])  # unimodular, reverses the pairing
     for _ in range(20):
@@ -100,11 +106,23 @@ def test_word_holonomy_matches_snf_inverses():
             c = two_torus_complex(g1, g2, T1)
             # Letters e0, e1, e0^-1, e1^-1 give edge 1 the d1 block
             # (g2 g1)^-1 - (g1^-1 g2 g1)^-1.
-            block = inverse_unimodular(g2 * g1) - inverse_unimodular(
-                inverse_unimodular(g1) * g2 * g1
+            block = adjugate_inverse(g2 * g1) - adjugate_inverse(
+                adjugate_inverse(g1) * g2 * g1
             )
             d1 = twisted_differential(c, 1)
             assert [list(d1.row(i)[2:4]) for i in range(2)] == block.to_lists()
+
+
+@pytest.mark.parametrize(
+    "transports",
+    [{-1: SHEAR}, {5: SHEAR}, {0: SHEAR, 1: None}, [SHEAR, [[1, 0], [0, 1]]]],
+    ids=["negative-key", "key-past-edges", "full-mapping", "list-entry"],
+)
+def test_complex_takes_one_matrix_per_edge(transports):
+    """Transports are a sequence of IntegerMatrix or None, one per 1-cell."""
+    torus = two_torus_complex(None, None, T1)
+    with pytest.raises(InvalidComplex):
+        TwistedComplex(torus.cells, torus.boundaries, transports, T1, torus.words)
 
 
 def test_circle_trivial_coefficients():
