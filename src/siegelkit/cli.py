@@ -2,6 +2,13 @@
 
 Exit status: 0 success, 1 malformed input, 2 validation failure
 (a report is still emitted), 3 enumeration budget exceeded.
+
+``COMMANDS`` maps command -> action -> ``handler(data, args)``: ``data`` is
+the parsed JSON input, ``args`` the command line, and the handler returns
+the payload to emit, or ``(payload, passed)`` for the verdict actions
+(``taming validate``, ``cohomology validate``, ``cohomology dsz``), which
+exit 2 when ``passed`` is false. Handlers call the library through module
+globals, never through the table, so ``bench/tracing.py`` can rebind them.
 """
 
 import argparse
@@ -71,8 +78,8 @@ def _read_input(args):
             raise ParseError(f"cannot read input: {exc}") from None
     try:
         return json.loads(text)
-    except ValueError as exc:
-        # Malformed JSON, or an integer literal past Python's digit limit.
+    except (ValueError, RecursionError) as exc:
+        # Malformed or too deeply nested JSON, or an integer past the digit limit.
         raise ParseError(f"input is not valid JSON: {exc}") from None
 
 
@@ -102,260 +109,267 @@ def _as_text(payload, indent=0):
     return f"{pad}{payload}"
 
 
-def _cmd_lattice(args):
-    data = _read_input(args)
-    if args.action == "type":
-        space = jsonio.decode_space(data)
-        _emit(args, {"t": jsonio.encode_lattice_type(type_of(space))})
-        return EXIT_OK
-    if args.action == "frobenius":
-        space = jsonio.decode_space(data)
-        fb = frobenius_basis(space)
-        _emit(
-            args,
-            {
-                "change_of_basis": jsonio.encode_integer_matrix(fb.change_of_basis),
-                "t": jsonio.encode_lattice_type(fb.type),
-            },
-        )
-        return EXIT_OK
-    if args.action == "member":
-        gamma = jsonio.decode_integer_matrix(
-            jsonio._need(data, "gamma", "member request")
-        )
-        t = jsonio.decode_lattice_type(jsonio._need(data, "t", "member request"))
-        _emit(args, {"member": sp_type_membership(gamma, t)})
-        return EXIT_OK
-    if args.action == "isom":
-        a = jsonio.decode_space(jsonio._need(data, "a", "isomorphism request"))
-        b = jsonio.decode_space(jsonio._need(data, "b", "isomorphism request"))
-        P = lattice_isomorphism(a, b)
-        _emit(
-            args,
-            {
-                "isomorphism": None
-                if P is None
-                else jsonio.encode_integer_matrix(P)
-            },
-        )
-        return EXIT_OK
-    raise ParseError(f"unknown lattice action {args.action!r}")
+def _lattice_type(data, args):
+    return {"t": jsonio.encode_lattice_type(type_of(jsonio.decode_space(data)))}
 
 
-def _cmd_aff(args):
-    data = _read_input(args)
-    if args.action == "compose":
-        x = jsonio.decode_aff(jsonio._need(data, "x", "compose request"))
-        y = jsonio.decode_aff(jsonio._need(data, "y", "compose request"))
-        _emit(args, jsonio.encode_aff(aff_compose(x, y)))
-        return EXIT_OK
-    if args.action == "inverse":
-        x = jsonio.decode_aff(data)
-        _emit(args, jsonio.encode_aff(aff_inverse(x)))
-        return EXIT_OK
-    if args.action == "act":
-        x = jsonio.decode_aff(jsonio._need(data, "x", "act request"))
-        p = jsonio.decode_torus_point(jsonio._need(data, "p", "act request"))
-        _emit(args, jsonio.encode_torus_point(aff_act(x, p)))
-        return EXIT_OK
-    if args.action == "rep":
-        x = jsonio.decode_aff(data)
-        _emit(args, {"rotation": jsonio.encode_integer_matrix(lattice_rep(x))})
-        return EXIT_OK
-    raise ParseError(f"unknown aff action {args.action!r}")
+def _lattice_frobenius(data, args):
+    fb = frobenius_basis(jsonio.decode_space(data))
+    return {
+        "change_of_basis": jsonio.encode_integer_matrix(fb.change_of_basis),
+        "t": jsonio.encode_lattice_type(fb.type),
+    }
 
 
-def _cmd_taming(args):
-    data = _read_input(args)
+def _lattice_member(data, args):
+    gamma = jsonio.decode_integer_matrix(jsonio._need(data, "gamma", "member request"))
+    t = jsonio.decode_lattice_type(jsonio._need(data, "t", "member request"))
+    return {"member": sp_type_membership(gamma, t)}
+
+
+def _lattice_isom(data, args):
+    a = jsonio.decode_space(jsonio._need(data, "a", "isomorphism request"))
+    b = jsonio.decode_space(jsonio._need(data, "b", "isomorphism request"))
+    P = lattice_isomorphism(a, b)
+    return {"isomorphism": None if P is None else jsonio.encode_integer_matrix(P)}
+
+
+def _aff_compose(data, args):
+    x = jsonio.decode_aff(jsonio._need(data, "x", "compose request"))
+    y = jsonio.decode_aff(jsonio._need(data, "y", "compose request"))
+    return jsonio.encode_aff(aff_compose(x, y))
+
+
+def _aff_inverse(data, args):
+    return jsonio.encode_aff(aff_inverse(jsonio.decode_aff(data)))
+
+
+def _aff_act(data, args):
+    x = jsonio.decode_aff(jsonio._need(data, "x", "act request"))
+    p = jsonio.decode_torus_point(jsonio._need(data, "p", "act request"))
+    return jsonio.encode_torus_point(aff_act(x, p))
+
+
+def _aff_rep(data, args):
+    rotation = lattice_rep(jsonio.decode_aff(data))
+    return {"rotation": jsonio.encode_integer_matrix(rotation)}
+
+
+def _taming_validate(data, args):
+    J = jsonio.decode_float_matrix(jsonio._need(data, "J", "taming"), "taming")
+    omega = jsonio.decode_integer_matrix(jsonio._need(data, "omega", "taming"))
     tol = args.tol
-    if args.action == "validate":
-        J = jsonio.decode_float_matrix(jsonio._need(data, "J", "taming"), "taming")
-        omega = jsonio.decode_integer_matrix(jsonio._need(data, "omega", "taming"))
-        if tol is None:
-            tol = jsonio.decode_tol(data.get("tol", DEFAULT_TOL), "taming")
-        report = validate_taming(J, omega, tol)
-        _emit(args, report.as_dict())
-        return EXIT_OK if report.passed else EXIT_VALIDATION
-    if args.action == "from-siegel":
-        Z = jsonio.decode_siegel_point(jsonio._need(data, "Z", "from-siegel request"))
-        omega = jsonio.decode_integer_matrix(
-            jsonio._need(data, "omega", "from-siegel request")
-        )
-        tm = taming_from_siegel_point(Z, omega)
-        out = jsonio.encode_taming(tm)
-        out["Q"] = jsonio.encode_float_matrix(q_metric(tm))
-        _emit(args, out)
-        return EXIT_OK
-    if args.action == "push":
-        tm = jsonio.decode_taming(
-            jsonio._need(data, "taming", "push request"), tol_override=tol
-        )
-        gamma = jsonio.decode_integer_matrix(
-            jsonio._need(data, "gamma", "push request")
-        )
-        _emit(args, jsonio.encode_taming(push_forward_taming(gamma, tm)))
-        return EXIT_OK
-    raise ParseError(f"unknown taming action {args.action!r}")
+    if tol is None:
+        tol = jsonio.decode_tol(data.get("tol", DEFAULT_TOL), "taming")
+    report = validate_taming(J, omega, tol)
+    return report.as_dict(), report.passed
 
 
-def _cmd_field(args):
-    data = _read_input(args)
-    tol = args.tol
-    if args.action == "star":
-        frame = jsonio.decode_frame(jsonio._need(data, "frame", "star request"))
-        _emit(args, {"star": jsonio.encode_float_matrix(hodge_star_matrix(frame))})
-        return EXIT_OK
+def _taming_from_siegel(data, args):
+    Z = jsonio.decode_siegel_point(jsonio._need(data, "Z", "from-siegel request"))
+    omega = jsonio._need(data, "omega", "from-siegel request")
+    omega = jsonio.decode_integer_matrix(omega)
+    tm = taming_from_siegel_point(Z, omega)
+    out = jsonio.encode_taming(tm)
+    out["Q"] = jsonio.encode_float_matrix(q_metric(tm))
+    return out
+
+
+def _taming_push(data, args):
+    tm = jsonio._need(data, "taming", "push request")
+    tm = jsonio.decode_taming(tm, tol_override=args.tol)
+    gamma = jsonio.decode_integer_matrix(jsonio._need(data, "gamma", "push request"))
+    return jsonio.encode_taming(push_forward_taming(gamma, tm))
+
+
+def _field_inputs(data, args, where="field request"):
+    """The frame, taming and field sample of a field request, in that order."""
     frame = jsonio.decode_frame(jsonio._need(data, "frame", "field request"))
-    if args.action in ("project", "residual", "transform"):
-        taming = jsonio.decode_taming(
-            jsonio._need(data, "taming", "field request"), tol_override=tol
-        )
-        sample = jsonio.decode_field_sample(jsonio._need(data, "F_sample", "field request"))
-        if args.action == "project":
-            out = project_selfdual(sample, frame, taming)
-            _emit(args, jsonio.encode_field_sample(out))
-            return EXIT_OK
-        if args.action == "residual":
-            _emit(args, {"residual": maxwell_residual(sample, frame, taming)})
-            return EXIT_OK
-        gamma = jsonio.decode_integer_matrix(
-            jsonio._need(data, "gamma", "transform request")
-        )
-        new_sample, new_taming = duality_transform_sample(gamma, sample, taming)
-        _emit(
-            args,
-            {
-                "F_sample": jsonio.encode_field_sample(new_sample),
-                "taming": jsonio.encode_taming(new_taming),
-            },
-        )
-        return EXIT_OK
-    if args.action == "stress":
-        taming = jsonio.decode_taming(
-            jsonio._need(data, "taming", "stress request"), tol_override=tol
-        )
-        sample = jsonio.decode_field_sample(jsonio._need(data, "F_sample", "stress request"))
-        Q = q_metric(taming)
-        stress = inner_contraction(sample, sample, frame, Q)
-        _emit(args, {"stress": jsonio.encode_float_matrix(stress)})
-        return EXIT_OK
-    if args.action == "scalar-rhs":
-        taming = jsonio.decode_taming(
-            jsonio._need(data, "taming", "scalar-rhs request"), tol_override=tol
-        )
-        sample = jsonio.decode_field_sample(
-            jsonio._need(data, "F_sample", "scalar-rhs request")
-        )
-        psi = jsonio.decode_fundamental_form(
-            jsonio._need(data, "psi", "scalar-rhs request")
-        )
-        lhs = data.get("scalar_lhs")
-        if lhs is not None:
-            lhs = jsonio.decode_float_vector(lhs, "scalar-rhs request")
-        values, residuals = scalar_rhs(sample, frame, q_metric(taming), psi, lhs)
-        payload = {"values": [float(v) for v in values]}
-        if residuals is not None:
-            payload["residuals"] = [float(r) for r in residuals]
-        _emit(args, payload)
-        return EXIT_OK
-    raise ParseError(f"unknown field action {args.action!r}")
+    taming = jsonio._need(data, "taming", where)
+    taming = jsonio.decode_taming(taming, tol_override=args.tol)
+    sample = jsonio.decode_field_sample(jsonio._need(data, "F_sample", where))
+    return frame, taming, sample
 
 
-def _cmd_cohomology(args):
-    data = _read_input(args)
+def _field_star(data, args):
+    frame = jsonio.decode_frame(jsonio._need(data, "frame", "star request"))
+    return {"star": jsonio.encode_float_matrix(hodge_star_matrix(frame))}
+
+
+def _field_project(data, args):
+    frame, taming, sample = _field_inputs(data, args)
+    return jsonio.encode_field_sample(project_selfdual(sample, frame, taming))
+
+
+def _field_residual(data, args):
+    frame, taming, sample = _field_inputs(data, args)
+    return {"residual": maxwell_residual(sample, frame, taming)}
+
+
+def _field_stress(data, args):
+    frame, taming, sample = _field_inputs(data, args, "stress request")
+    stress = inner_contraction(sample, sample, frame, q_metric(taming))
+    return {"stress": jsonio.encode_float_matrix(stress)}
+
+
+def _field_scalar_rhs(data, args):
+    frame, taming, sample = _field_inputs(data, args, "scalar-rhs request")
+    psi = jsonio._need(data, "psi", "scalar-rhs request")
+    psi = jsonio.decode_fundamental_form(psi)
+    lhs = data.get("scalar_lhs")
+    if lhs is not None:
+        lhs = jsonio.decode_float_vector(lhs, "scalar-rhs request")
+    values, residuals = scalar_rhs(sample, frame, q_metric(taming), psi, lhs)
+    payload = {"values": [float(v) for v in values]}
+    if residuals is not None:
+        payload["residuals"] = [float(r) for r in residuals]
+    return payload
+
+
+def _field_transform(data, args):
+    _, taming, sample = _field_inputs(data, args)
+    gamma = jsonio._need(data, "gamma", "transform request")
+    gamma = jsonio.decode_integer_matrix(gamma)
+    new_sample, new_taming = duality_transform_sample(gamma, sample, taming)
+    return {
+        "F_sample": jsonio.encode_field_sample(new_sample),
+        "taming": jsonio.encode_taming(new_taming),
+    }
+
+
+def _complex(data):
+    """A cohomology request's "complex" field, or the request itself."""
     if not isinstance(data, dict):
         raise ParseError("cohomology request must be a JSON object")
-    c = jsonio.decode_complex(data.get("complex", data))
-    if args.action == "validate":
-        report = validate_local_system(c)
-        _emit(args, report.as_dict())
-        return EXIT_OK if report.valid else EXIT_VALIDATION
-    if args.action == "compute":
-        degrees = [args.degree] if args.degree is not None else list(
-            range(c.dimension + 1)
-        )
-        out = []
-        for k in degrees:
-            res = twisted_cohomology(c, k)
-            out.append(
-                {
-                    "degree": k,
-                    "free_rank": res.free_rank,
-                    "torsion": list(res.torsion),
-                    "group": res.group_description(),
-                }
-            )
-        _emit(args, {"cohomology": out})
-        return EXIT_OK
-    if args.action == "charge-lattice":
-        basis = [jsonio.encode_rational_vector(b) for b in charge_lattice_basis(c)]
-        _emit(args, {"rank": len(basis), "basis": basis})
-        return EXIT_OK
-    if args.action == "dsz":
-        cls = jsonio.decode_charge_class(
-            jsonio._need(data, "class", "dsz request")
-        )
-        verdict = dsz_check(cls, c)
-        _emit(args, verdict.as_dict())
-        return EXIT_OK if verdict.integral else EXIT_VALIDATION
-    raise ParseError(f"unknown cohomology action {args.action!r}")
+    return jsonio.decode_complex(data.get("complex", data))
 
 
-def _cmd_uduality(args):
-    data = _read_input(args)
-    if args.action == "commutant":
-        h = jsonio.decode_holonomy(data)
-        basis = commutant_lattice(h)
-        _emit(
-            args,
+def _cohomology_validate(data, args):
+    report = validate_local_system(_complex(data))
+    return report.as_dict(), report.valid
+
+
+def _cohomology_compute(data, args):
+    c = _complex(data)
+    degrees = range(c.dimension + 1) if args.degree is None else [args.degree]
+    out = []
+    for k in degrees:
+        res = twisted_cohomology(c, k)
+        out.append(
             {
-                "rank": len(basis),
-                "basis": [jsonio.encode_integer_matrix(b) for b in basis],
-            },
+                "degree": k,
+                "free_rank": res.free_rank,
+                "torsion": list(res.torsion),
+                "group": res.group_description(),
+            }
         )
-        return EXIT_OK
-    if args.action in ("centralizer", "fiber-product") and args.bound < 1:
+    return {"cohomology": out}
+
+
+def _cohomology_charge_lattice(data, args):
+    basis = charge_lattice_basis(_complex(data))
+    basis = [jsonio.encode_rational_vector(b) for b in basis]
+    return {"rank": len(basis), "basis": basis}
+
+
+def _cohomology_dsz(data, args):
+    c = _complex(data)
+    cls = jsonio.decode_charge_class(jsonio._need(data, "class", "dsz request"))
+    verdict = dsz_check(cls, c)
+    return verdict.as_dict(), verdict.integral
+
+
+def _bound(args):
+    if args.bound < 1:
         raise ParseError("bound must be at least 1")
-    if args.action == "centralizer":
-        h = jsonio.decode_holonomy(data)
-        found = centralizer_enumerate(h, bound=args.bound, budget=args.budget)
-        _emit(
-            args,
-            {
-                "bound": args.bound,
-                "count": len(found),
-                "elements": [jsonio.encode_integer_matrix(m) for m in found],
-            },
-        )
-        return EXIT_OK
-    if args.action == "fiber-product":
-        model = jsonio.decode_scalar_model(data)
-        elements = uduality_fiber_product(
-            model, bound=args.bound, tol=args.tol, budget=args.budget
-        )
-        closure = closure_within_box(elements, model, args.bound)
-        _emit(
-            args,
-            {
-                "bound": args.bound,
-                "count": len(elements),
-                "elements": [jsonio.encode_uduality_element(e) for e in elements],
-                "closure": closure.as_dict(),
-            },
-        )
-        return EXIT_OK
-    if args.action == "ad":
-        e = jsonio.decode_uduality_element(data)
-        iso, rot = adjoint_map(e)
-        _emit(
-            args,
-            {"isometry": iso, "rotation": jsonio.encode_integer_matrix(rot)},
-        )
-        return EXIT_OK
-    raise ParseError(f"unknown uduality action {args.action!r}")
+    return args.bound
 
 
-def _cmd_selftest(args):
+def _uduality_commutant(data, args):
+    basis = commutant_lattice(jsonio.decode_holonomy(data))
+    basis = [jsonio.encode_integer_matrix(b) for b in basis]
+    return {"rank": len(basis), "basis": basis}
+
+
+def _uduality_centralizer(data, args):
+    bound = _bound(args)
+    h = jsonio.decode_holonomy(data)
+    found = centralizer_enumerate(h, bound=bound, budget=args.budget)
+    return {
+        "bound": bound,
+        "count": len(found),
+        "elements": [jsonio.encode_integer_matrix(m) for m in found],
+    }
+
+
+def _uduality_fiber_product(data, args):
+    bound = _bound(args)
+    model = jsonio.decode_scalar_model(data)
+    elements = uduality_fiber_product(
+        model, bound=bound, tol=args.tol, budget=args.budget
+    )
+    return {
+        "bound": bound,
+        "count": len(elements),
+        "elements": [jsonio.encode_uduality_element(e) for e in elements],
+        "closure": closure_within_box(elements, model, bound).as_dict(),
+    }
+
+
+def _uduality_ad(data, args):
+    iso, rot = adjoint_map(jsonio.decode_uduality_element(data))
+    return {"isometry": iso, "rotation": jsonio.encode_integer_matrix(rot)}
+
+
+COMMANDS = {
+    "lattice": {
+        "type": _lattice_type,
+        "frobenius": _lattice_frobenius,
+        "member": _lattice_member,
+        "isom": _lattice_isom,
+    },
+    "aff": {
+        "compose": _aff_compose,
+        "inverse": _aff_inverse,
+        "act": _aff_act,
+        "rep": _aff_rep,
+    },
+    "taming": {
+        "validate": _taming_validate,
+        "from-siegel": _taming_from_siegel,
+        "push": _taming_push,
+    },
+    "field": {
+        "star": _field_star,
+        "project": _field_project,
+        "residual": _field_residual,
+        "stress": _field_stress,
+        "scalar-rhs": _field_scalar_rhs,
+        "transform": _field_transform,
+    },
+    "cohomology": {
+        "validate": _cohomology_validate,
+        "compute": _cohomology_compute,
+        "charge-lattice": _cohomology_charge_lattice,
+        "dsz": _cohomology_dsz,
+    },
+    "uduality": {
+        "commutant": _uduality_commutant,
+        "centralizer": _uduality_centralizer,
+        "fiber-product": _uduality_fiber_product,
+        "ad": _uduality_ad,
+    },
+}
+
+
+def _run(args):
+    result = COMMANDS[args.command][args.action](_read_input(args), args)
+    payload, passed = result if isinstance(result, tuple) else (result, True)
+    _emit(args, payload)
+    return EXIT_OK if passed else EXIT_VALIDATION
+
+
+def _selftest(args):
     lines = []
     ok = run_selftest(args.seed, write=lines.append)
     for line in lines:
@@ -388,39 +402,20 @@ def build_parser():
             "--tol", type=lambda x: jsonio.decode_tol(x, "--tol"), help="tolerance override"
         )
 
-    for name, actions, func in (
-        ("lattice", ("type", "frobenius", "member", "isom"), _cmd_lattice),
-        ("aff", ("compose", "inverse", "act", "rep"), _cmd_aff),
-        ("taming", ("validate", "from-siegel", "push"), _cmd_taming),
-        (
-            "field",
-            ("star", "project", "residual", "stress", "scalar-rhs", "transform"),
-            _cmd_field,
-        ),
-        (
-            "cohomology",
-            ("validate", "compute", "charge-lattice", "dsz"),
-            _cmd_cohomology,
-        ),
-        (
-            "uduality",
-            ("commutant", "centralizer", "fiber-product", "ad"),
-            _cmd_uduality,
-        ),
-    ):
+    for name, actions in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("action", choices=actions)
+        p.add_argument("action", choices=tuple(actions))
         add_io(p)
         if name == "cohomology":
             p.add_argument("--degree", type=int, default=None)
         if name == "uduality":
             p.add_argument("--bound", type=int, default=2)
             p.add_argument("--budget", type=int, default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_run)
 
     p = sub.add_parser("selftest")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_selftest)
+    p.set_defaults(func=_selftest)
     return parser
 
 

@@ -97,16 +97,6 @@ class IntegerMatrix:
             raise ValueError("matrix needs at least one row and column")
         return cls._trusted(((0,) * cols,) * rows)
 
-    @classmethod
-    def diagonal(cls, diag):
-        diag = list(diag)
-        n = len(diag)
-        return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def column(cls, vec):
-        return cls([[x] for x in vec])
-
     def __getitem__(self, ij):
         i, j = ij
         return self._entries[i][j]

@@ -48,7 +48,7 @@ class PointFrame:
             raise DimensionMismatch(f"metric must be 4x4, got {gm.shape}")
         if np.max(np.abs(gm - gm.T)) > 1e-9 * max(1.0, np.max(np.abs(gm))):
             raise BadSignature("metric is not symmetric")
-        gm = (gm + gm.T) / 2.0
+        gm = gm / 2.0 + gm.T / 2.0  # halved first, so no finite sum overflows
         if orientation not in (1, -1):
             raise BadSignature("orientation must be +1 or -1")
         det = float(np.linalg.det(gm))
@@ -86,8 +86,6 @@ class FieldStrengthSample:
             raise DimensionMismatch(f"field sample must be 6 x 2n, got {Fm.shape}")
         if Fm.shape[1] % 2 != 0:
             raise DimensionMismatch("duality-space dimension must be even")
-        if not np.all(np.isfinite(Fm)):
-            raise ValueError("field sample has non-finite entries")
         Fm = Fm.copy()
         Fm.flags.writeable = False
         object.__setattr__(self, "F", Fm)

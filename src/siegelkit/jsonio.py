@@ -41,6 +41,13 @@ def _need(obj, key, where):
     return obj[key]
 
 
+def _need_list(obj, key, where):
+    value = _need(obj, key, where)
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a list in {where}")
+    return value
+
+
 def _decimal(x) -> str:
     """str(x) of an int or Fraction, also past the digit limit."""
     try:
@@ -91,7 +98,7 @@ def decode_float(x, where="number") -> float:
     if isinstance(x, (int, float, str)) and not isinstance(x, bool):
         try:
             value = float(x)
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
         else:
             if math.isfinite(value):
@@ -147,9 +154,17 @@ def encode_float_matrix(m) -> list:
 
 
 def decode_float_matrix(obj, where="float matrix"):
+    """Nested lists of ``decode_float`` entries, as a float array."""
+    pending = [obj]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, list):
+            pending.extend(reversed(x))
+        else:
+            decode_float(x, where)
     try:
         return np.array(obj, dtype=float)
-    except (ValueError, TypeError):
+    except ValueError:
         raise ParseError(f"bad float matrix in {where}") from None
 
 
@@ -259,12 +274,8 @@ def encode_field_sample(sample: FieldStrengthSample) -> dict:
 
 
 def decode_fundamental_form(obj, where="fundamental form") -> FundamentalFormSample:
-    comps = _need(obj, "components", where)
-    if not isinstance(comps, list):
-        raise ParseError(f"components must be a list in {where}")
-    return FundamentalFormSample(
-        [decode_float_matrix(c, where) for c in comps]
-    )
+    comps = _need_list(obj, "components", where)
+    return FundamentalFormSample([decode_float_matrix(c, where) for c in comps])
 
 
 def encode_complex(c: TwistedComplex) -> dict:
@@ -287,37 +298,39 @@ def encode_complex(c: TwistedComplex) -> dict:
 
 
 def decode_complex(obj, where="complex") -> TwistedComplex:
-    cells = _need(obj, "cells", where)
-    if not isinstance(cells, list):
-        raise ParseError(f"cells must be a list in {where}")
-    cells = [decode_integer(x, where) for x in cells]
+    cells = [decode_integer(x, where) for x in _need_list(obj, "cells", where)]
     boundaries = [
-        decode_integer_matrix(b, where) for b in _need(obj, "boundaries", where)
+        decode_integer_matrix(b, where) for b in _need_list(obj, "boundaries", where)
     ]
     t = decode_lattice_type(_need(obj, "t", where), where)
     n_edges = cells[1] if len(cells) > 1 else 0
-    transports = [None] * n_edges
-    for item in obj.get("transports", []):
+    by_edge = {}
+    items = _need_list(obj, "transports", where) if "transports" in obj else []
+    for item in items:
         e = decode_integer(_need(item, "cell", where), where)
         if not 0 <= e < n_edges:
             raise ParseError(f"transport for unknown 1-cell {e} in {where}")
-        transports[e] = decode_integer_matrix(_need(item, "gamma", where), where)
+        by_edge[e] = decode_integer_matrix(_need(item, "gamma", where), where)
+    # Generators: TwistedComplex lists them only after checking the cell
+    # counts against the boundary shapes, so no count outgrows the input.
+    transports = (by_edge.get(e) for e in range(n_edges))
     words = None
     if "words" in obj:
         n_faces = cells[2] if len(cells) > 2 else 0
-        words = [None] * n_faces
-        for item in obj["words"]:
+        by_face = {}
+        for item in _need_list(obj, "words", where):
             f = decode_integer(_need(item, "cell", where), where)
             if not 0 <= f < n_faces:
                 raise ParseError(f"word for unknown 2-cell {f} in {where}")
             raw = _need(item, "word", where)
             try:
-                words[f] = tuple(
+                by_face[f] = tuple(
                     (decode_integer(e, where), decode_integer(s, where))
                     for e, s in raw
                 )
             except (TypeError, ValueError):
                 raise ParseError(f"bad attaching word in {where}") from None
+        words = (by_face.get(f) for f in range(n_faces))
     try:
         return TwistedComplex(cells, boundaries, transports, t, words)
     except Exception as exc:
@@ -332,7 +345,7 @@ def decode_charge_class(obj, where="charge class") -> ChargeClass:
 def decode_holonomy(obj, where="holonomy") -> HolonomySubgroup:
     t = decode_lattice_type(_need(obj, "t", where), where)
     gens = [
-        decode_integer_matrix(g, where) for g in _need(obj, "generators", where)
+        decode_integer_matrix(g, where) for g in _need_list(obj, "generators", where)
     ]
     try:
         return HolonomySubgroup(gens, t)
@@ -347,7 +360,7 @@ def decode_scalar_model(obj, where="scalar model") -> FiniteScalarModel:
     tol = decode_tol(obj.get("tol", DEFAULT_TOL), where)
     tamings = [
         Taming(decode_float_matrix(J, where), omega, tol)
-        for J in _need(obj, "tamings", where)
+        for J in _need_list(obj, "tamings", where)
     ]
     try:
         return FiniteScalarModel(points, isometries, tamings)

@@ -100,14 +100,16 @@ def validate_taming(J, omega, tol: float = DEFAULT_TOL) -> TamingReport:
     if Jm.shape[0] % 2 != 0:
         raise DimensionMismatch("taming needs even dimension")
     m = Jm.shape[0]
-    jnorm2 = max(1.0, float(np.max(np.abs(Jm))) ** 2)
+    # numpy's square of a float64 past the float range is inf; Python's raises.
+    jnorm2 = max(1.0, float(np.max(np.abs(Jm)) ** 2))
     onorm = max(1.0, float(np.max(np.abs(Om))))
     square_res = np.max(np.abs(Jm @ Jm + np.eye(m))) / jnorm2
     compat_res = np.max(np.abs(Jm.T @ Om @ Jm - Om)) / (jnorm2 * onorm)
     Q = Om @ Jm
     qnorm = max(1.0, float(np.max(np.abs(Q))))
     sym_res = np.max(np.abs(Q - Q.T)) / qnorm
-    eigmin = float(np.min(np.linalg.eigvalsh((Q + Q.T) / 2.0)))
+    S = Q / 2.0 + Q.T / 2.0  # halved first: finite wherever Q is
+    eigmin = float(np.min(np.linalg.eigvalsh(S))) if np.isfinite(S).all() else np.nan
     return TamingReport(
         [
             CheckResult("square_minus_identity", square_res <= tol, square_res),
@@ -167,7 +169,7 @@ class SiegelPoint:
             raise DimensionMismatch("X and Y must be square of equal size")
         if np.max(np.abs(Xm - Xm.T)) > tol or np.max(np.abs(Ym - Ym.T)) > tol:
             raise DimensionMismatch("X and Y must be symmetric")
-        if float(np.min(np.linalg.eigvalsh((Ym + Ym.T) / 2.0))) <= 0.0:
+        if float(np.min(np.linalg.eigvalsh(Ym / 2.0 + Ym.T / 2.0))) <= 0.0:
             raise NonPositiveY("imaginary part Y must be positive definite")
         Xm.flags.writeable = False
         Ym.flags.writeable = False

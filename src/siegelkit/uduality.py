@@ -295,11 +295,11 @@ class FiniteScalarModel:
         perms = []
         for p in isometries:
             p = tuple(int(x) for x in p)
-            if sorted(p) != list(range(points)):
+            if len(p) != points or sorted(p) != list(range(points)):
                 raise InvalidModel(f"not a permutation of {points} points: {p}")
             perms.append(p)
         perms = tuple(perms)
-        if tuple(range(points)) not in perms:
+        if not perms or tuple(range(points)) not in perms:
             raise InvalidModel("isometry list must contain the identity")
         perm_set = set(perms)
         for p in perms:

@@ -197,7 +197,7 @@ def test_generator_input_is_validated():
     with pytest.raises(ValueError):
         IntegerMatrix((x for x in row) for row in [[1, 1], [0, 1.5]])
     with pytest.raises(ValueError):
-        IntegerMatrix.column([1.5, 2])
+        IntegerMatrix([[1.5], [2]])
     m = IntegerMatrix((x for x in row) for row in [[2, 1], [0, 1]])
     assert m == IntegerMatrix([[2, 1], [0, 1]])
     assert IntegerMatrix(iter([[np.int64(3)]]))[0, 0] == 3

@@ -177,7 +177,10 @@ def _near_misses(rng, gamma, t):
     yield random_sp_t_element(rng, other, steps=6)
     yield random_sp_t_element(rng, LatticeType.principal(n), steps=6)
     # diag(I, -I) sends Omega_t to -Omega_t: unimodular but antisymplectic.
-    flip = IntegerMatrix.diagonal([1] * n + [-1] * n)
+    signs = [1] * n + [-1] * n
+    flip = IntegerMatrix(
+        [[s if i == j else 0 for j in range(2 * n)] for i, s in enumerate(signs)]
+    )
     yield flip * gamma
     yield gamma * flip
     yield random_unimodular(rng, 2 * n, steps=10, entry_bound=9)
