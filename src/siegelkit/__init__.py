@@ -89,7 +89,6 @@ from .symplectic_lattices import (
     lattice_isomorphism,
     sp_type_membership,
     standard_gram,
-    standard_space,
     symplectic_inverse,
     type_of,
 )

@@ -10,7 +10,7 @@ class DimensionMismatch(SiegelKitError):
 
 
 class TypeMismatch(SiegelKitError):
-    """Group elements or torus points built over different lattice types."""
+    """Values built over different lattice types, or a type that disagrees with omega."""
 
 
 class DegenerateForm(SiegelKitError):
@@ -79,4 +79,4 @@ class BoundTooLargeForBudget(SiegelKitError):
 
 
 class ParseError(SiegelKitError):
-    """Malformed JSON input to the CLI or the codecs."""
+    """Malformed input: bad JSON, or a value the codecs or floats cannot hold."""

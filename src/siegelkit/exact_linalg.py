@@ -436,9 +436,8 @@ def rational_rref(entries):
     """Reduced row echelon form over Q.
 
     Takes a list of row lists (any Fraction-convertible entries) and
-    returns (rref_rows, pivot_columns). It factors the DSZ membership
-    system once per complex (``local_systems._charge_system``) and
-    solves the systems of ``rational_solve_many``.
+    returns (rref_rows, pivot_columns). It solves the systems of
+    ``rational_solve_many``.
     """
     A = [[Fraction(x) for x in row] for row in entries]
     if not A:

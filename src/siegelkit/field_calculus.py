@@ -20,7 +20,7 @@ from .errors import (
     InvalidFundamentalForm,
 )
 from .exact_linalg import IntegerMatrix
-from .polarization import FundamentalFormSample, Taming, push_forward_taming
+from .polarization import FundamentalFormSample, Taming, _as_float, push_forward_taming
 
 INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -67,10 +67,6 @@ class PointFrame:
 
     def __setattr__(self, name, value):
         raise AttributeError("PointFrame is immutable")
-
-    @classmethod
-    def minkowski(cls, orientation: int = 1):
-        return cls(np.diag([-1.0, 1.0, 1.0, 1.0]), orientation)
 
 
 class FieldStrengthSample:
@@ -342,7 +338,7 @@ def duality_transform_sample(
     NotSymplectic when gamma does not preserve the symplectic form.
     """
     new_taming = push_forward_taming(gamma, taming)
-    G = np.array(gamma.to_lists(), dtype=float)
+    G = _as_float(gamma)
     if sample.F.shape[1] != G.shape[0]:
         raise DimensionMismatch("sample width does not match gamma size")
     return FieldStrengthSample(sample.F @ G.T), new_taming

@@ -181,10 +181,6 @@ def decode_lattice_type(obj, where="type") -> LatticeType:
         raise ParseError(f"bad lattice type in {where}: {exc}") from None
 
 
-def encode_space(s: IntegralSymplecticSpace) -> dict:
-    return {"n": s.n, "gram": encode_integer_matrix(s.gram)}
-
-
 def decode_space(obj, where="space") -> IntegralSymplecticSpace:
     gram = decode_integer_matrix(_need(obj, "gram", where), where)
     try:
@@ -355,7 +351,10 @@ def decode_holonomy(obj, where="holonomy") -> HolonomySubgroup:
 
 def decode_scalar_model(obj, where="scalar model") -> FiniteScalarModel:
     points = decode_integer(_need(obj, "points", where), where)
-    isometries = _need(obj, "isometries", where)
+    isometries = _need_list(obj, "isometries", where)
+    if not all(isinstance(p, list) for p in isometries):
+        raise ParseError(f"each isometry must be a list in {where}")
+    isometries = [[decode_integer(x, where) for x in p] for p in isometries]
     omega = decode_integer_matrix(_need(obj, "omega", where), where)
     tol = decode_tol(obj.get("tol", DEFAULT_TOL), where)
     tamings = [

@@ -30,11 +30,11 @@ image coordinates come from ``exact_linalg.left_inverse``, and an SNF
 only where a kernel basis or invariant factors are the answer.
 
 Charge classes are stored in units of 2 pi, which keeps every check
-rational and exact. The DSZ membership system is factored once per
-complex: the charge basis and an integer projector onto its coordinates
-are kept on the complex next to the differentials, so each further
-class costs two integer matrix-vector products (the cocycle test and
-the projection) and one divisibility test.
+rational and exact. The Smith form that gives H^2 and the charge basis
+also gives an integer projector onto its coordinates; both are kept on
+the complex next to the differentials, so each further class costs two
+integer matrix-vector products (the cocycle test and the projection)
+and one divisibility test.
 """
 
 from fractions import Fraction
@@ -47,7 +47,6 @@ from .exact_linalg import (
     inverse_unimodular,
     kernel_lattice,
     left_inverse,
-    rational_rref,
     smith_normal_form,
 )
 from .symplectic_lattices import LatticeType, sp_type_membership
@@ -400,17 +399,10 @@ class CohomologyResult:
         )
 
 
-def twisted_cohomology(c: TwistedComplex, k: int) -> CohomologyResult:
-    """Cohomology of the twisted cochain complex in degree k.
-
-    K, the kernel basis of d_k, is saturated and contains im d_{k-1}
-    (validation tests d_k d_{k-1} = 0), so with (D, N) its
-    ``left_inverse`` the image has integer coordinates R = N d_{k-1} / D.
-    If U R V is the SNF of R, the columns of K U^-1 past rank R are the
-    free generators, and the invariant factors above 1 are the torsion.
-    """
+def _cohomology(c: TwistedComplex, k: int):
+    """``twisted_cohomology(c, k)`` and its (D, N, U, rank R), None if unfactored."""
     if k < 0 or k > c.dimension:
-        return CohomologyResult(k, 0, (), ())
+        return CohomologyResult(k, 0, (), ()), None
     diffs = _differentials(c)
     dim_k = c.coeff_rank * c.cells[k]
     dk = diffs[k] if k < c.dimension else None
@@ -422,9 +414,9 @@ def twisted_cohomology(c: TwistedComplex, k: int) -> CohomologyResult:
         kernel = kernel_lattice(dk)
     r = len(kernel)
     if r == 0:
-        return CohomologyResult(k, 0, (), ())
+        return CohomologyResult(k, 0, (), ()), None
     if dk_prev is None or dk_prev.is_zero():
-        return CohomologyResult(k, r, (), kernel)
+        return CohomologyResult(k, r, (), kernel), None
 
     D, N = left_inverse(kernel)
     scaled = (IntegerMatrix._trusted(N) * dk_prev).to_lists()
@@ -436,7 +428,19 @@ def twisted_cohomology(c: TwistedComplex, k: int) -> CohomologyResult:
     torsion = tuple(d for d in snf.invariant_factors() if d > 1)
     gens = IntegerMatrix._trusted(tuple(zip(*kernel))) * inverse_unimodular(snf.U)
     free_basis = [gens.column_vector(j) for j in range(rank_R, r)]
-    return CohomologyResult(k, r - rank_R, torsion, free_basis)
+    return CohomologyResult(k, r - rank_R, torsion, free_basis), (D, N, snf.U, rank_R)
+
+
+def twisted_cohomology(c: TwistedComplex, k: int) -> CohomologyResult:
+    """Cohomology of the twisted cochain complex in degree k.
+
+    K, the kernel basis of d_k, is saturated and contains im d_{k-1}
+    (validation tests d_k d_{k-1} = 0), so with (D, N) its
+    ``left_inverse`` the image has integer coordinates R = N d_{k-1} / D.
+    If U R V is the SNF of R, the columns of K U^-1 past rank R are the
+    free generators, and the invariant factors above 1 are the torsion.
+    """
+    return _cohomology(c, k)[0]
 
 
 class ChargeClass:
@@ -488,35 +492,27 @@ class DszVerdict:
 def _charge_system(c: TwistedComplex):
     """(basis, P, D): the DSZ membership system of c, factored once.
 
-    ``basis`` is the free basis of H^2. One RREF of [basis | d1 | I] over
-    Q gives the transform E with E [basis | d1] in echelon form. The
-    basis classes are independent modulo im d1 (a rational relation
-    would make an integral combination torsion), so the basis columns
-    are the first r pivots, and every later column of d1 is a
-    combination of earlier d1 pivots only: rows i < r of the echelon
-    form are e_i on the basis columns and zero on d1. Hence for every
-    v = basis m + d1 w, the coordinates are m = E[:r] v, and
-    P = D E[:r] with D the common denominator of E[:r] is an integer
-    matrix. Over Q, span(basis) + im d1 = ker d2 (all 2-cochains when the
-    complex has dimension 2), so every cocycle has this form, and the
-    cocycle test alone settles consistency. The result stays on the
+    ``basis`` is the free basis of H^2, and P v / D are the coordinates
+    over it of a 2-cocycle v modulo im d1. Both come from the one
+    factorization of ``_cohomology(c, 2)``: v has coordinates N v / D
+    over K, hence U N v / D over the generators K U^-1, and U sends
+    im d1 onto the first rank R coordinates (U R = S V^-1 with S
+    diagonal). So the rows of U N past rank R are the integer matrix P.
+    When d1 is zero or the kernel is empty the basis is K itself (or
+    nothing), and P, D are its ``left_inverse``. The result stays on the
     complex next to its report and differentials.
     """
     diffs = _differentials(c)
     report, _, system = c._checked
     if system is None:
-        basis = twisted_cohomology(c, 2).free_basis
-        d1 = diffs[1]
-        dim2 = d1.rows
-        rows = [
-            [b[i] for b in basis] + list(d1.row(i)) + [int(i == j) for j in range(dim2)]
-            for i in range(dim2)
-        ]
-        E, _ = rational_rref(rows)
-        start = len(basis) + d1.cols
-        T = [row[start:] for row in E[: len(basis)]]
-        D = lcm(*(x.denominator for row in T for x in row))
-        P = tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in T)
+        result, factors = _cohomology(c, 2)
+        basis = result.free_basis
+        if factors is None:
+            D, P = left_inverse(basis)
+        else:
+            D, N, U, rank_R = factors
+            UN = U * IntegerMatrix._trusted(N)
+            P = tuple(UN.row(i) for i in range(rank_R, UN.rows))
         system = (basis, P, D)
         object.__setattr__(c, "_checked", (report, diffs, system))
     return system

@@ -22,6 +22,7 @@ from .errors import (
     InvalidTaming,
     NonPositiveY,
     NotSymplectic,
+    ParseError,
 )
 from .exact_linalg import IntegerMatrix, rational_solve_many
 
@@ -31,9 +32,13 @@ DEFAULT_TOL = 1e-10
 
 
 def _as_float(m):
+    """A matrix as a float array; an entry past the float range is refused."""
     if isinstance(m, IntegerMatrix):
-        return np.array(m.to_lists(), dtype=float)
-    a = np.asarray(m, dtype=float)
+        m = m.to_lists()
+    try:
+        a = np.asarray(m, dtype=float)
+    except OverflowError:
+        raise ParseError("matrix entry is too large for a float") from None
     if a.ndim != 2:
         raise DimensionMismatch("expected a matrix")
     return a
@@ -249,7 +254,7 @@ def push_forward_taming(gamma: IntegerMatrix, taming: Taming) -> Taming:
     inverse_columns = rational_solve_many(
         om.to_lists(), [gt_om.column_vector(j) for j in range(gt_om.cols)]
     )
-    Ginv = np.array(inverse_columns, dtype=float).T
+    Ginv = _as_float(inverse_columns).T
     J = G @ taming.J @ Ginv
     cond = max(1.0, float(np.max(np.abs(G))) * float(np.max(np.abs(Ginv))))
     return Taming(J, om, tol=max(taming.tol, DEFAULT_TOL) * cond * cond)

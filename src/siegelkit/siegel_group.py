@@ -86,9 +86,6 @@ class AffineSymplectomorphism:
         n2 = 2 * type.n
         return cls._trusted((Fraction(0),) * n2, IntegerMatrix.identity(n2), type)
 
-    def is_translation(self):
-        return self.rotation == IntegerMatrix.identity(2 * self.type.n)
-
     def __eq__(self, other):
         return (
             isinstance(other, AffineSymplectomorphism)

@@ -113,11 +113,6 @@ class FrobeniusBasis:
         raise AttributeError("FrobeniusBasis is immutable")
 
 
-def standard_space(t: LatticeType) -> IntegralSymplecticSpace:
-    """The standard symplectic lattice of the given type."""
-    return IntegralSymplecticSpace(standard_gram(t))
-
-
 def frobenius_basis(space: IntegralSymplecticSpace) -> FrobeniusBasis:
     """Frobenius basis (lambda_1..lambda_n, mu_1..mu_n) of a symplectic lattice.
 

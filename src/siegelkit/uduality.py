@@ -41,11 +41,19 @@ import itertools
 import math
 import os
 from fractions import Fraction
+from numbers import Integral
 from operator import mul
 
 import numpy as np
 
-from .errors import BoundTooLargeForBudget, DimensionMismatch, InvalidModel, ParseError
+from .errors import (
+    BoundTooLargeForBudget,
+    DimensionMismatch,
+    InvalidModel,
+    NotSymplectic,
+    ParseError,
+    TypeMismatch,
+)
 from .exact_linalg import IntegerMatrix, kernel_lattice, left_inverse, whole_integers
 from .polarization import Taming
 from .siegel_group import reduce_mod_lattice
@@ -294,7 +302,10 @@ class FiniteScalarModel:
             raise InvalidModel("model needs at least one point")
         perms = []
         for p in isometries:
-            p = tuple(int(x) for x in p)
+            p = tuple(p)
+            if not all(isinstance(x, Integral) for x in p):
+                raise InvalidModel(f"isometry entries must be integers: {p}")
+            p = tuple(map(int, p))
             if len(p) != points or sorted(p) != list(range(points)):
                 raise InvalidModel(f"not a permutation of {points} points: {p}")
             perms.append(p)
@@ -494,6 +505,18 @@ def _taming_norm_lists(columns, model: FiniteScalarModel, t: LatticeType, bound,
     return out
 
 
+def _omega_type(omega: IntegerMatrix) -> LatticeType:
+    """The divisor chain t with omega = Omega_t, else NotSymplectic."""
+    n = omega.rows // 2
+    try:
+        t = LatticeType(omega[i, n + i] for i in range(n))
+    except ValueError:
+        t = None
+    if t is None or standard_gram(t) != omega:
+        raise NotSymplectic("omega is not Omega_t for a divisor chain t")
+    return t
+
+
 def uduality_fiber_product(
     model: FiniteScalarModel,
     bound: int,
@@ -514,14 +537,18 @@ def uduality_fiber_product(
     max abs at most tol. Output is ordered by isometry, then by the
     row-major entries of U.
 
-    The lattice type defaults to the principal type of the tamings'
-    rank. Elements are returned with no torus part: torus translations
-    are unconstrained by the compatibility condition and live in the
-    kernel of the adjoint map.
+    The lattice type is read from the tamings' omega, which must be
+    Omega_t for a divisor chain t (NotSymplectic otherwise); a t that is
+    given must be that one (TypeMismatch otherwise). Elements are
+    returned with no torus part: torus translations are unconstrained by
+    the compatibility condition and live in the kernel of the adjoint
+    map.
     """
-    n = model.tamings[0].n
+    own = _omega_type(model.tamings[0].omega)
     if t is None:
-        t = LatticeType.principal(n)
+        t = own
+    elif t != own:
+        raise TypeMismatch(f"type {list(t.entries)} disagrees with omega, of type {list(own.entries)}")
     if tol is None:
         tol = max(max(tm.tol for tm in model.tamings), 1e-9)
     cap = search_budget(budget)

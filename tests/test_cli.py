@@ -14,7 +14,7 @@ from siegelkit.local_systems import charge_lattice_basis, two_sphere_complex, tw
 from siegelkit.polarization import Taming, push_forward_taming, standard_taming_matrix
 from siegelkit.sampling import random_field_sample, random_sp_t_element, random_taming
 from siegelkit.siegel_group import AffineSymplectomorphism, aff_compose
-from siegelkit.symplectic_lattices import LatticeType, standard_gram, standard_space
+from siegelkit.symplectic_lattices import LatticeType, sp_type_membership, standard_gram
 from siegelkit.uduality import (
     HolonomySubgroup,
     UDualityElement,
@@ -35,8 +35,8 @@ def run_cli(args, payload=None):
 
 
 def test_lattice_type_subcommand():
-    space = standard_space(LatticeType((1, 2)))
-    proc = run_cli(["lattice", "type"], jsonio.encode_space(space))
+    gram = standard_gram(LatticeType((1, 2)))
+    proc = run_cli(["lattice", "type"], {"gram": jsonio.encode_integer_matrix(gram)})
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"t": [1, 2]}
 
@@ -209,8 +209,8 @@ def test_fiber_product_subcommand():
 
 
 def test_output_text_mode():
-    space = standard_space(LatticeType((1,)))
-    proc = run_cli(["lattice", "type", "--output", "text"], jsonio.encode_space(space))
+    gram = {"gram": jsonio.encode_integer_matrix(standard_gram(LatticeType((1,))))}
+    proc = run_cli(["lattice", "type", "--output", "text"], gram)
     assert proc.returncode == 0
     assert "t:" in proc.stdout
 
@@ -448,6 +448,70 @@ def test_bad_option_and_tol_values_exit_one(argv, payload, capsys):
     assert captured.err == ""
     assert captured.out.count("\n") == 1
     assert set(json.loads(captured.out)) == {"error"}
+
+
+_HUGE = "9" * 400
+_HUGE_OMEGA = {"entries": [["0", _HUGE], ["-" + _HUGE, "0"]]}
+_HUGE_GAMMA = {"entries": [["1", _HUGE], ["0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["taming", "validate"], {**_TAMING, "omega": _HUGE_OMEGA}),
+        (["taming", "push"], {"taming": _TAMING, "gamma": _HUGE_GAMMA}),
+        (["field", "transform"], {**_FIELD, "gamma": _HUGE_GAMMA}),
+        (["uduality", "fiber-product", "--bound", "1"], {**_ONE_POINT, "omega": _HUGE_OMEGA}),
+    ],
+    ids=["taming-validate", "taming-push", "field-transform", "fiber-product"],
+)
+def test_integers_past_the_float_range_exit_one(argv, payload, capsys):
+    code, out = _run_main(argv + ["--json", json.dumps(payload)], capsys)
+    assert code == 1
+    assert out == {"error": "matrix entry is too large for a float"}
+
+
+@pytest.mark.parametrize("entry", [0.9, False, 0.0, "0.5", None])
+def test_isometry_entries_are_integers(entry, capsys):
+    payload = {**_ONE_POINT, "isometries": [[entry]]}
+    code, out = _run_main(["uduality", "fiber-product", "--bound", "1", "--json", json.dumps(payload)], capsys)
+    assert code == 1
+    assert out == {"error": f"bad integer {entry!r} in scalar model"}
+
+
+def test_isometry_entry_digit_string_is_an_integer(capsys):
+    payload = {**_ONE_POINT, "isometries": [["0"]]}
+    code, out = _run_main(["uduality", "fiber-product", "--bound", "1", "--json", json.dumps(payload)], capsys)
+    assert code == 0 and out["count"] == 4
+
+
+def _type_12_model(omega=standard_gram(LatticeType((1, 2)))):
+    return {
+        "points": 1,
+        "isometries": [[0]],
+        "omega": jsonio.encode_integer_matrix(omega),
+        "tamings": [standard_taming_matrix(2).tolist()],
+    }
+
+
+def test_fiber_product_reads_the_type_of_omega(capsys):
+    """Omega_(1,2): 16 elements of Sp_(1,2), not 32 of Sp(4, Z)."""
+    argv = ["uduality", "fiber-product", "--bound", "1", "--json", json.dumps(_type_12_model())]
+    code, out = _run_main(argv, capsys)
+    assert code == 0
+    assert out["count"] == 16 and out["closure"]["closed"]
+    t = LatticeType((1, 2))
+    rotations = [jsonio.decode_integer_matrix(e["rotation"]) for e in out["elements"]]
+    assert all(sp_type_membership(U, t) for U in rotations)
+
+
+def test_fiber_product_refuses_omega_of_no_type(capsys):
+    """diag(2, 1) is no divisor chain: one JSON line, exit 2."""
+    omega = IntegerMatrix([[0, 0, 2, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]])
+    argv = ["uduality", "fiber-product", "--bound", "1", "--json", json.dumps(_type_12_model(omega))]
+    code, out = _run_main(argv, capsys)
+    assert code == 2
+    assert out == {"error": "omega is not Omega_t for a divisor chain t", "kind": "NotSymplectic"}
 
 
 def test_tol_zero_is_exact_mode(capsys):

@@ -38,7 +38,7 @@ from siegelkit.sampling import (
 )
 from siegelkit.symplectic_lattices import LatticeType, standard_gram
 
-MINKOWSKI = PointFrame.minkowski()
+MINKOWSKI = PointFrame(np.diag([-1.0, 1.0, 1.0, 1.0]))
 
 # Hand-computed mostly-plus star on the ordered pairs (01,02,03,12,13,23),
 # orientation +1: *(01)=-(23), *(02)=+(13), *(03)=-(12),
@@ -80,7 +80,7 @@ def test_star_conformal_invariance():
 
 
 def test_star_orientation_flip():
-    frame = PointFrame.minkowski(orientation=-1)
+    frame = PointFrame(MINKOWSKI.g, orientation=-1)
     assert np.array_equal(hodge_star_matrix(frame), -MINKOWSKI_STAR)
 
 

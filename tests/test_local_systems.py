@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from siegelkit import cli, exact_linalg, local_systems
+from siegelkit import cli, local_systems
 from siegelkit.errors import InvalidComplex, NotACocycle
 from siegelkit.exact_linalg import (
     IntegerMatrix,
@@ -585,38 +586,54 @@ def test_dsz_agrees_with_per_class_solve():
 
 
 def test_dsz_system_factored_once_per_complex(monkeypatch):
-    """One kernel and one RREF per complex, however many classes."""
-    calls = {"kernel_lattice": 0, "rational_rref": 0}
+    """One factorization per complex, however many classes."""
+    calls = {"kernel_lattice": 0, "smith_normal_form": 0}
 
-    def counting(name, fn):
+    def count(name):
+        fn = getattr(local_systems, name)
+
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
 
-        return wrapper
+        monkeypatch.setattr(local_systems, name, wrapper)
 
-    rref = counting("rational_rref", exact_linalg.rational_rref)
-    monkeypatch.setattr(exact_linalg, "rational_rref", rref)
-    monkeypatch.setattr(local_systems, "rational_rref", rref)
-    monkeypatch.setattr(
-        local_systems, "kernel_lattice", counting("kernel_lattice", local_systems.kernel_lattice)
-    )
+    count("kernel_lattice")
+    count("smith_normal_form")
+    # The untwisted 4-torus: d1 = 0, so H^2 is the kernel of d2, and no
+    # image has to be factored.
     c = four_torus_complex(LatticeType((1, 2)))
     basis = charge_lattice_basis(c)
     for m in range(3):
         vec = [m * Fraction(x) for x in basis[0]]
         assert dsz_check(ChargeClass(vec), c).coordinates[0] == m
-    assert calls == {"kernel_lattice": 1, "rational_rref": 1}
+    assert calls == {"kernel_lattice": 1, "smith_normal_form": 0}
 
-    # A twisted torus: computing the basis itself solves once (the image
-    # of d1), then the factorization; later classes add nothing.
+    # A twisted torus: every 2-cochain is a cocycle, and the one SNF of
+    # the image of d1 gives both the basis and the projector; later
+    # classes add nothing.
     c = two_torus_complex(SHEAR, SHEAR, T1)
     basis = charge_lattice_basis(c)
     before = dict(calls)
+    assert before == {"kernel_lattice": 1, "smith_normal_form": 1}
     for m in range(10):
         vec = [m * Fraction(x) for x in basis[0]]
         assert dsz_check(ChargeClass(vec), c).coordinates[0] == m
     assert calls == before
+
+
+def test_charge_projector_reads_the_basis_and_kills_coboundaries():
+    """P basis = D I and P d1 = 0 on every oracle complex."""
+    for seed in range(20):
+        for c in _oracle_complexes(random.Random(seed)):
+            basis, P, D = local_systems._charge_system(c)
+            d1 = twisted_differential(c, 1)
+            images = [d1.column_vector(j) for j in range(d1.cols)]
+            r = len(basis)
+            assert [[sum(map(mul, row, b)) for b in basis] for row in P] == [
+                [D * (i == j) for j in range(r)] for i in range(r)
+            ]
+            assert not any(sum(map(mul, row, v)) for row in P for v in images)
 
 
 def test_charge_basis_copy_does_not_reach_verdicts():

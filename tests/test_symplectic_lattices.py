@@ -21,7 +21,6 @@ from siegelkit.symplectic_lattices import (
     lattice_isomorphism,
     sp_type_membership,
     standard_gram,
-    standard_space,
     symplectic_inverse,
     type_of,
 )
@@ -44,16 +43,15 @@ def test_lattice_type_validation():
 
 
 def test_standard_space_examples():
-    assert standard_space(LatticeType((1,))).gram == IntegerMatrix([[0, 1], [-1, 0]])
-    assert standard_space(LatticeType((2,))).gram == IntegerMatrix([[0, 2], [-2, 0]])
-    assert standard_space(LatticeType((1, 2))).gram == IntegerMatrix(
-        [[0, 0, 1, 0], [0, 0, 0, 2], [-1, 0, 0, 0], [0, -2, 0, 0]]
-    )
-    assert type_of(standard_space(LatticeType((1, 2)))) == LatticeType((1, 2))
+    assert standard_gram(LatticeType((1,))) == IntegerMatrix([[0, 1], [-1, 0]])
+    assert standard_gram(LatticeType((2,))) == IntegerMatrix([[0, 2], [-2, 0]])
+    gram = standard_gram(LatticeType((1, 2)))
+    assert gram == IntegerMatrix([[0, 0, 1, 0], [0, 0, 0, 2], [-1, 0, 0, 0], [0, -2, 0, 0]])
+    assert type_of(IntegralSymplecticSpace(gram)) == LatticeType((1, 2))
 
 
 def test_frobenius_standard_is_identity_effect():
-    space = standard_space(LatticeType((1,)))
+    space = IntegralSymplecticSpace(standard_gram(LatticeType((1,))))
     fb = frobenius_basis(space)
     assert fb.type == LatticeType((1,))
     P = fb.change_of_basis
@@ -137,22 +135,22 @@ def test_type_invariance_random():
 def test_isomorphism_same_type():
     rng = random.Random(5)
     t = LatticeType((1, 2))
-    a = standard_space(t)
+    a = IntegralSymplecticSpace(standard_gram(t))
     assert lattice_isomorphism(a, a) is not None
     U = random_unimodular(rng, 2, steps=8, entry_bound=9)
     g = U.transpose() * standard_gram(LatticeType((1,))) * U
     b = IntegralSymplecticSpace(g)
-    P = lattice_isomorphism(b, standard_space(LatticeType((1,))))
+    P = lattice_isomorphism(b, IntegralSymplecticSpace(standard_gram(LatticeType((1,)))))
     assert P is not None
     assert P.transpose() * g * P == standard_gram(LatticeType((1,)))
 
 
 def test_isomorphism_type_mismatch_absent():
-    a = standard_space(LatticeType((1,)))
-    b = standard_space(LatticeType((2,)))
+    a = IntegralSymplecticSpace(standard_gram(LatticeType((1,))))
+    b = IntegralSymplecticSpace(standard_gram(LatticeType((2,))))
     assert lattice_isomorphism(a, b) is None
     with pytest.raises(DimensionMismatch):
-        lattice_isomorphism(a, standard_space(LatticeType((1, 1))))
+        lattice_isomorphism(a, IntegralSymplecticSpace(standard_gram(LatticeType((1, 1)))))
 
 
 def is_unimodular(a):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegelkit.errors import BoundTooLargeForBudget, InvalidModel
+from siegelkit.errors import BoundTooLargeForBudget, InvalidModel, NotSymplectic, TypeMismatch
 from siegelkit.exact_linalg import IntegerMatrix, rational_solve_many
 from siegelkit.polarization import Taming, push_forward_taming, standard_taming_matrix
 from siegelkit.sampling import random_sl2z, random_sp_t_element, random_taming
@@ -454,6 +454,59 @@ def test_norm_filter_keeps_the_tolerance_margin():
     got = uduality_fiber_product(model, bound=1, t=T1, tol=1.0)
     assert got == box_fiber_product(model, 1.0, full_box(T1, 1))
     assert len(got) == 20
+
+
+def test_fiber_product_searches_the_type_of_omega():
+    """Omega_(1,2) gives 16 elements, all in Sp_(1,2); a disagreeing t is refused."""
+    t = LatticeType((1, 2))
+    model = FiniteScalarModel(1, [(0,)], [Taming(standard_taming_matrix(2), standard_gram(t), 0.0)])
+    elements = uduality_fiber_product(model, bound=1)
+    assert elements == uduality_fiber_product(model, bound=1, t=t)
+    assert elements == box_fiber_product(model, None, full_box(t, 1))
+    assert len(elements) == 16
+    assert all(sp_type_membership(e.rotation, t) for e in elements)
+    assert closure_within_box(elements, model, 1).closed
+    with pytest.raises(TypeMismatch):
+        uduality_fiber_product(model, bound=1, t=T2)
+
+
+@pytest.mark.parametrize(
+    "gram,J",
+    [
+        ([[0, -1], [1, 0]], -standard_taming_matrix(1)),
+        ([[0, 0, 2, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]], standard_taming_matrix(2)),
+        (
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+            np.kron(np.eye(2), standard_taming_matrix(1)),
+        ),
+    ],
+    ids=["negative", "not-a-chain", "not-frobenius-order"],
+)
+def test_fiber_product_refuses_omega_of_no_type(gram, J):
+    model = FiniteScalarModel(1, [(0,)], [Taming(J, IntegerMatrix(gram), 0.0)])
+    with pytest.raises(NotSymplectic):
+        uduality_fiber_product(model, bound=1)
+
+
+def test_fiber_product_n1_does_not_depend_on_the_type():
+    """n = 1: Omega_(k) = k Omega_(1) has the same tamings, and Sp_(k) = SL(2, Z)."""
+    rng = random.Random(4242)
+    for k in (2, 3, 12):
+        for model in _pushed_forward_models(rng, LatticeType((k,)), 6):
+            tamings = [Taming(tm.J, standard_gram(T1), tm.tol) for tm in model.tamings]
+            principal = FiniteScalarModel(model.points, model.isometries, tamings)
+            for bound in (1, 2, 3):
+                for tol in TOLS:
+                    got = uduality_fiber_product(model, bound, tol=tol)
+                    assert got == uduality_fiber_product(principal, bound, tol=tol), (k, bound, tol)
+
+
+def test_isometry_entries_must_be_integers():
+    tm = Taming(standard_taming_matrix(1), standard_gram(T1), 0.0)
+    for entry in (0.9, 0.0, "0", Fraction(0)):
+        with pytest.raises(InvalidModel):
+            FiniteScalarModel(1, [(entry,)], [tm])
+    assert FiniteScalarModel(1, [(np.int64(0),)], [tm]).isometries == ((0,),)
 
 
 def test_fiber_product_n2_bound2_gate():
