@@ -7,9 +7,15 @@ the package is validated against.
 
 Smith normal form follows a fixed pivot rule (smallest absolute value,
 scanning rows then columns) so its output is deterministic for a given
-input. It is used only where invariant factors or a kernel basis are
-the answer; inverses and coordinates come from ``left_inverse``, the
-one fraction-free Gauss-Jordan elimination.
+input. One private elimination serves every caller and updates only
+the transforms the caller reads: ``kernel_lattice`` tracks V alone,
+``rank`` no transform, and ``smith_normal_form`` tracks U, V and U^-1,
+the inverse of U kept during the elimination (each row operation on U
+is mirrored by the inverse column operation on U^-1), not computed
+afterwards. An SNF is used only where invariant factors, a kernel
+basis or the cokernel transform are the answer; other inverses and
+coordinates come from ``left_inverse``, the one fraction-free
+Gauss-Jordan elimination.
 
 Validation contract: an ``IntegerMatrix`` is validated once, when it is
 built by its public constructor (rectangular, nonempty, every entry an
@@ -87,9 +93,7 @@ class IntegerMatrix:
     def identity(cls, n):
         if n < 1:
             raise ValueError("matrix needs at least one row")
-        return cls._trusted(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        return cls._trusted(tuple(_identity_rows(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -179,13 +183,13 @@ class IntegerMatrix:
             den = lcm(*(x.denominator for x in vec))
             nums = [x.numerator * (den // x.denominator) for x in vec]
             return tuple(Fraction(_dot(row, nums), den) for row in self._entries)
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self._entries)
+        return tuple(_dot(row, vec) for row in self._entries)
 
     def is_square(self):
         return self.rows == self.cols
 
     def is_zero(self):
-        return all(a == 0 for r in self._entries for a in r)
+        return not any(map(any, self._entries))
 
     def max_abs(self):
         return max(abs(a) for r in self._entries for a in r)
@@ -209,15 +213,16 @@ class SnfDecomposition:
     """Smith normal form U*A*V = S, with U and V unimodular and S diagonal.
 
     The diagonal entries are nonnegative and form a divisibility chain
-    d_1 | d_2 | ... (zeros trailing).
+    d_1 | d_2 | ... (zeros trailing). ``U_inv`` is the inverse of U.
     """
 
-    __slots__ = ("U", "S", "V")
+    __slots__ = ("U", "S", "V", "U_inv")
 
-    def __init__(self, U, S, V):
+    def __init__(self, U, S, V, U_inv):
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "V", V)
+        object.__setattr__(self, "U_inv", U_inv)
 
     def __setattr__(self, name, value):
         raise AttributeError("SnfDecomposition is immutable")
@@ -252,46 +257,100 @@ def _dim(msg):
 
 
 def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
-    """Smith normal form of any integer matrix.
+    """Smith normal form U A V = S of any integer matrix, with U^-1.
 
     Pivot selection scans the working submatrix in row-then-column order
     and takes the first entry of smallest nonzero absolute value, which
-    bounds entry growth and makes the output deterministic.
+    bounds entry growth and makes the output deterministic. U^-1 is
+    tracked during the elimination, not computed from U afterwards.
+    """
+    _, S, U, Ui, Vc = _smith(a, left=True, right=True)
+    return SnfDecomposition(
+        IntegerMatrix._trusted(tuple(map(tuple, U))),
+        IntegerMatrix._trusted(tuple(map(tuple, S))),
+        IntegerMatrix._trusted(tuple(zip(*Vc))),
+        IntegerMatrix._trusted(tuple(zip(*Ui))),
+    )
+
+
+def kernel_lattice(a: IntegerMatrix) -> list:
+    """Z-basis of the right kernel {x : A x = 0}, as a list of columns.
+
+    The basis is the set of columns of the SNF transform V that A sends
+    to zero, the columns past the rank; since V is unimodular the kernel
+    basis is saturated. Only V is tracked. Returns an empty list when
+    the kernel is trivial.
+    """
+    r, _, _, _, Vc = _smith(a, left=False, right=True)
+    return [tuple(v) for v in Vc[r:]]
+
+
+def rank(a: IntegerMatrix) -> int:
+    """Rank over Q, from a Smith elimination that tracks no transform."""
+    return _smith(a, left=False, right=False)[0]
+
+
+def _identity_rows(n):
+    zeros = (0,) * n
+    return [zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)]
+
+
+def _smith(a, *, left, right):
+    """The Smith elimination of ``a``: (rank, S, U, U^-1 columns, V columns).
+
+    S and U are lists of rows; U^-1 and V are kept as lists of their
+    columns, so that every update of a transform replaces whole rows.
+    ``left`` tracks U together with U^-1, ``right`` tracks V; a transform
+    that is not tracked is None. Each row operation on U is mirrored by
+    the inverse column operation on U^-1, so U U^-1 = I throughout.
+
+    Pivot rule: the first entry of smallest nonzero absolute value,
+    scanning the working submatrix rows then columns. The pivots depend
+    on A alone, so S and every tracked transform are the same whichever
+    others are tracked.
     """
     m, n = a.rows, a.cols
-    A = a.to_lists()
-    U = IntegerMatrix.identity(m).to_lists()
-    V = IntegerMatrix.identity(n).to_lists()
+    A = [list(r) for r in a._entries]
+    U = _identity_rows(m) if left else None
+    Ui = _identity_rows(m) if left else None
+    Vc = _identity_rows(n) if right else None
 
     def row_op(i, j, q):
-        # row_i -= q * row_j
+        # row_i -= q * row_j, so col_j += q * col_i on U^-1.
         A[i] = [x - q * y for x, y in zip(A[i], A[j])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
-
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for r in range(m):
-            A[r][i] -= q * A[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
+        if left:
+            U[i] = [x - q * y for x, y in zip(U[i], U[j])]
+            Ui[j] = [x + q * y for x, y in zip(Ui[j], Ui[i])]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        if left:
+            U[i], U[j] = U[j], U[i]
+            Ui[i], Ui[j] = Ui[j], Ui[i]
+
+    def col_op(i, j, q):
+        # col_i -= q * col_j
+        for row in A:
+            if row[j]:
+                row[i] -= q * row[j]
+        if right:
+            Vc[i] = [x - q * y for x, y in zip(Vc[i], Vc[j])]
 
     def swap_cols(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        if right:
+            Vc[i], Vc[j] = Vc[j], Vc[i]
 
     def find_pivot(d):
         best = None
         for i in range(d, m):
-            for j in range(d, n):
-                v = abs(A[i][j])
-                if v != 0 and (best is None or v < best[0]):
-                    best = (v, i, j)
+            rest = A[i][d:]
+            if not any(rest):
+                continue
+            for j, x in enumerate(rest, d):
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
         return best
 
     d = 0
@@ -326,47 +385,32 @@ def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
                         dirty = True
             if dirty:
                 continue
-            # Enforce divisibility of the remaining submatrix.
-            offender = None
+            # Enforce divisibility of the remaining submatrix; a unit
+            # pivot divides everything.
             p = A[d][d]
-            for i in range(d + 1, m):
-                for j in range(d + 1, n):
-                    if A[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if p in (1, -1):
+                break
+            offender = next(
+                (i for i in range(d + 1, m) if any(x % p for x in A[i][d + 1:])),
+                None,
+            )
             if offender is None:
                 break
-            # Pull the offending row into row d and reduce again.
+            # Pull the offending row into row d and reduce again:
+            # row_d += row_o, so col_o -= col_d on U^-1.
             A[d] = [x + y for x, y in zip(A[d], A[offender])]
-            U[d] = [x + y for x, y in zip(U[d], U[offender])]
+            if left:
+                U[d] = [x + y for x, y in zip(U[d], U[offender])]
+                Ui[offender] = [x - y for x, y in zip(Ui[offender], Ui[d])]
         d += 1
 
     for i in range(min(m, n)):
         if A[i][i] < 0:
             A[i] = [-x for x in A[i]]
-            U[i] = [-x for x in U[i]]
-
-    return SnfDecomposition(
-        *(IntegerMatrix._trusted(tuple(map(tuple, X))) for X in (U, A, V))
-    )
-
-
-def kernel_lattice(a: IntegerMatrix) -> list:
-    """Z-basis of the right kernel {x : A x = 0}, as a list of columns.
-
-    The basis is the set of columns of the SNF transform V that A sends
-    to zero; since V is unimodular the kernel basis is saturated.
-    Returns an empty list when the kernel is trivial.
-    """
-    snf = smith_normal_form(a)
-    r = snf.rank()
-    return [snf.V.column_vector(j) for j in range(r, a.cols)]
-
-
-def rank(a: IntegerMatrix) -> int:
-    return smith_normal_form(a).rank()
+            if left:
+                U[i] = [-x for x in U[i]]
+                Ui[i] = [-x for x in Ui[i]]
+    return d, A, U, Ui, Vc
 
 
 def determinant(a: IntegerMatrix) -> int:

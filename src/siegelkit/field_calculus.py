@@ -114,7 +114,7 @@ class ScalarSectorSample:
         pm.flags.writeable = False
         object.__setattr__(self, "pullback_metric", pm)
         if einstein_lhs is not None:
-            el = np.asarray(einstein_lhs, dtype=float)
+            el = np.array(einstein_lhs, dtype=float)
             if el.shape != (4, 4):
                 raise DimensionMismatch("einstein_lhs must be 4x4")
             el.flags.writeable = False

@@ -32,11 +32,15 @@ DEFAULT_TOL = 1e-10
 
 
 def _as_float(m):
-    """A matrix as a float array; an entry past the float range is refused."""
+    """A matrix as a new float array; an entry past the float range is refused.
+
+    The array is never the caller's own, so a constructor may freeze it
+    without freezing the caller's array.
+    """
     if isinstance(m, IntegerMatrix):
         m = m.to_lists()
     try:
-        a = np.asarray(m, dtype=float)
+        a = np.array(m, dtype=float)
     except OverflowError:
         raise ParseError("matrix entry is too large for a float") from None
     if a.ndim != 2:

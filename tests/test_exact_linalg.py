@@ -81,6 +81,46 @@ def test_snf_random_properties():
         assert len(ker) == cols - snf.rank()
 
 
+def _snf_sweep(rng):
+    """Seeded SNF inputs: dense, zero, rank-deficient and with zero rows."""
+    for kind in ("dense", "zero", "low-rank", "zero-rows") * 40:
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        if kind == "zero":
+            yield IntegerMatrix.zeros(rows, cols)
+            continue
+        if kind == "low-rank":
+            # A product through an inner dimension below min(rows, cols).
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            left = IntegerMatrix([[rng.randint(-4, 4) for _ in range(inner)] for _ in range(rows)])
+            right = IntegerMatrix([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(inner)])
+            yield left * right
+            continue
+        entries = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+        if kind == "zero-rows":
+            for row in entries:
+                if rng.random() < 0.5:
+                    row[:] = [0] * cols
+        yield IntegerMatrix(entries)
+
+
+def test_snf_elimination_against_oracles():
+    """Full SNF, kernel-only and rank-only eliminations agree with each other and sympy."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(2024)
+    for A in _snf_sweep(rng):
+        snf = smith_normal_form(A)
+        assert snf.U * A * snf.V == snf.S
+        assert snf.U * snf.U_inv == IntegerMatrix.identity(A.rows)
+        r = snf.rank()
+        assert kernel_lattice(A) == [snf.V.column_vector(j) for j in range(r, A.cols)]
+        assert rank(A) == r
+        expected = sympy_snf(sympy.Matrix(A.to_lists()), domain=sympy.ZZ)
+        diag = (abs(int(expected[i, i])) for i in range(min(A.rows, A.cols)))
+        assert snf.invariant_factors() == tuple(d for d in diag if d != 0)
+
+
 def test_rank_matches_rational_rank():
     rng = random.Random(7)
     for _ in range(50):
@@ -236,8 +276,10 @@ def test_closed_operations_match_validated_construction():
         scaled = A * np.int64(3)
         assert scaled == IntegerMatrix([[3 * x for x in row] for row in la])
         assert all(type(x) is int for i in range(r) for x in scaled.row(i))
+        ints = [rng.randint(-9, 9) for _ in range(k)]
+        assert A.apply(ints) == tuple(sum(la[i][q] * ints[q] for q in range(k)) for i in range(r))
         snf = smith_normal_form(A)
-        for X in (snf.U, snf.S, snf.V):
+        for X in (snf.U, snf.S, snf.V, snf.U_inv):
             assert X == IntegerMatrix(X.to_lists())
 
 

@@ -333,3 +333,11 @@ def test_duality_invariance_of_residual_and_stress():
         s1 = inner_contraction(F, F, frame, q_metric(tm))
         s2 = inner_contraction(F2, F2, frame, q_metric(tm2))
         assert np.max(np.abs(s1 - s2)) <= 1e-9
+
+
+def test_scalar_sample_freezes_a_copy_of_einstein_lhs():
+    lhs = np.zeros((4, 4))
+    sample = ScalarSectorSample(np.zeros((4, 4)), einstein_lhs=lhs)
+    assert lhs.flags.writeable and not sample.einstein_lhs.flags.writeable
+    lhs[0, 0] = 1.0
+    assert sample.einstein_lhs[0, 0] == 0.0

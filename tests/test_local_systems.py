@@ -9,6 +9,9 @@ from siegelkit import cli, local_systems
 from siegelkit.errors import InvalidComplex, NotACocycle
 from siegelkit.exact_linalg import (
     IntegerMatrix,
+    inverse_unimodular,
+    kernel_lattice,
+    left_inverse,
     rational_solve_many,
     smith_normal_form,
 )
@@ -164,6 +167,42 @@ def test_circle_oracle_random_monodromy():
         assert (h1.free_rank, h1.torsion) == (ker_rank, torsion)
 
 
+def _twisted_sweep(rng):
+    """Twisted circles, tori and spheres over random types and transports."""
+    for _ in range(8):
+        t = random_lattice_type(rng, rng.choice((1, 2)))
+        g = random_sp_t_element(rng, t, steps=4)
+        yield circle_complex(g, t)
+        yield circle_complex(-g, t)
+        yield two_sphere_complex(t, transports=(g, g))
+        g1 = random_sl2z(rng, 4)
+        g2 = g1 * g1 if rng.random() < 0.5 else -g1
+        yield two_torus_complex(g1, g2, T1)
+
+
+def test_free_basis_equals_kernel_times_inverted_snf_transform():
+    """The tracked U^-1 gives the generators K U^-1 of inverting U afterwards."""
+    rng = random.Random(61)
+    for c in _twisted_sweep(rng):
+        diffs = [twisted_differential(c, k) for k in range(c.dimension)]
+        for k in range(c.dimension + 1):
+            dim_k = c.coeff_rank * c.cells[k]
+            if k < c.dimension:
+                kernel = kernel_lattice(diffs[k])
+            else:
+                kernel = [tuple(int(i == j) for i in range(dim_k)) for j in range(dim_k)]
+            if not kernel or k == 0 or diffs[k - 1].is_zero():
+                expected = kernel
+            else:
+                D, N = left_inverse(kernel)
+                scaled = (IntegerMatrix(N) * diffs[k - 1]).to_lists()
+                R = IntegerMatrix([[x // D for x in row] for row in scaled])
+                snf = smith_normal_form(R)
+                gens = IntegerMatrix([list(v) for v in zip(*kernel)]) * inverse_unimodular(snf.U)
+                expected = [gens.column_vector(j) for j in range(snf.rank(), len(kernel))]
+            assert list(twisted_cohomology(c, k).free_basis) == expected
+
+
 def test_cohomology_representatives_are_cocycles():
     c = circle_complex(SHEAR, T1)
     d0 = twisted_differential(c, 0)
@@ -214,8 +253,6 @@ def test_euler_characteristic_consistency():
 def test_conjugation_invariance():
     """Conjugate transports give an isomorphic local system."""
     rng = random.Random(51)
-    from siegelkit.exact_linalg import inverse_unimodular
-
     for _ in range(10):
         gamma = random_sl2z(rng, 5)
         P = random_sl2z(rng, 5)

@@ -177,3 +177,17 @@ def test_fundamental_projection_produces_valid_samples():
         )
         assert report.passed
         assert not report.unitary or np.max(np.abs(P)) < 1e-12
+
+
+def test_constructors_freeze_a_copy_not_the_callers_array():
+    """The object's arrays are read-only; the caller's float arrays stay writeable."""
+    J = standard_taming_matrix(1)
+    X, Y = np.zeros((1, 1)), np.eye(1)
+    P = np.zeros((2, 2))
+    tm = Taming(J, OM1)
+    point = SiegelPoint(X, Y)
+    psi = FundamentalFormSample([P])
+    for caller, frozen in ((J, tm.J), (X, point.X), (Y, point.Y), (P, psi.components[0])):
+        assert caller.flags.writeable and not frozen.flags.writeable
+        caller[0, 0] += 1.0
+        assert frozen[0, 0] == caller[0, 0] - 1.0
