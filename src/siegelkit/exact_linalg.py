@@ -9,13 +9,10 @@ Smith normal form follows a fixed pivot rule (smallest absolute value,
 scanning rows then columns) so its output is deterministic for a given
 input. One private elimination serves every caller and updates only
 the transforms the caller reads: ``kernel_lattice`` tracks V alone,
-``rank`` no transform, and ``smith_normal_form`` tracks U, V and U^-1,
-the inverse of U kept during the elimination (each row operation on U
-is mirrored by the inverse column operation on U^-1), not computed
-afterwards. An SNF is used only where invariant factors, a kernel
-basis or the cokernel transform are the answer; other inverses and
-coordinates come from ``left_inverse``, the one fraction-free
-Gauss-Jordan elimination.
+``rank`` no transform, and ``smith_normal_form`` both U and V. An SNF
+is used only where invariant factors or a kernel basis are the answer;
+inverses and coordinates come from ``left_inverse``, the one
+fraction-free Gauss-Jordan elimination.
 
 Validation contract: an ``IntegerMatrix`` is validated once, when it is
 built by its public constructor (rectangular, nonempty, every entry an
@@ -183,13 +180,13 @@ class IntegerMatrix:
             den = lcm(*(x.denominator for x in vec))
             nums = [x.numerator * (den // x.denominator) for x in vec]
             return tuple(Fraction(_dot(row, nums), den) for row in self._entries)
-        return tuple(_dot(row, vec) for row in self._entries)
+        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self._entries)
 
     def is_square(self):
         return self.rows == self.cols
 
     def is_zero(self):
-        return not any(map(any, self._entries))
+        return all(a == 0 for r in self._entries for a in r)
 
     def max_abs(self):
         return max(abs(a) for r in self._entries for a in r)
@@ -213,16 +210,15 @@ class SnfDecomposition:
     """Smith normal form U*A*V = S, with U and V unimodular and S diagonal.
 
     The diagonal entries are nonnegative and form a divisibility chain
-    d_1 | d_2 | ... (zeros trailing). ``U_inv`` is the inverse of U.
+    d_1 | d_2 | ... (zeros trailing).
     """
 
-    __slots__ = ("U", "S", "V", "U_inv")
+    __slots__ = ("U", "S", "V")
 
-    def __init__(self, U, S, V, U_inv):
+    def __init__(self, U, S, V):
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "U_inv", U_inv)
 
     def __setattr__(self, name, value):
         raise AttributeError("SnfDecomposition is immutable")
@@ -257,19 +253,17 @@ def _dim(msg):
 
 
 def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
-    """Smith normal form U A V = S of any integer matrix, with U^-1.
+    """Smith normal form of any integer matrix.
 
     Pivot selection scans the working submatrix in row-then-column order
     and takes the first entry of smallest nonzero absolute value, which
-    bounds entry growth and makes the output deterministic. U^-1 is
-    tracked during the elimination, not computed from U afterwards.
+    bounds entry growth and makes the output deterministic.
     """
-    _, S, U, Ui, Vc = _smith(a, left=True, right=True)
+    _, S, U, Vc = _smith(a, left=True, right=True)
     return SnfDecomposition(
         IntegerMatrix._trusted(tuple(map(tuple, U))),
         IntegerMatrix._trusted(tuple(map(tuple, S))),
         IntegerMatrix._trusted(tuple(zip(*Vc))),
-        IntegerMatrix._trusted(tuple(zip(*Ui))),
     )
 
 
@@ -281,7 +275,7 @@ def kernel_lattice(a: IntegerMatrix) -> list:
     basis is saturated. Only V is tracked. Returns an empty list when
     the kernel is trivial.
     """
-    r, _, _, _, Vc = _smith(a, left=False, right=True)
+    r, _, _, Vc = _smith(a, left=False, right=True)
     return [tuple(v) for v in Vc[r:]]
 
 
@@ -296,13 +290,12 @@ def _identity_rows(n):
 
 
 def _smith(a, *, left, right):
-    """The Smith elimination of ``a``: (rank, S, U, U^-1 columns, V columns).
+    """The Smith elimination of ``a``: (rank, S, U, V columns).
 
-    S and U are lists of rows; U^-1 and V are kept as lists of their
-    columns, so that every update of a transform replaces whole rows.
-    ``left`` tracks U together with U^-1, ``right`` tracks V; a transform
-    that is not tracked is None. Each row operation on U is mirrored by
-    the inverse column operation on U^-1, so U U^-1 = I throughout.
+    S and U are lists of rows; V is kept as the list of its columns, so
+    that every column operation on V replaces a whole row. ``left``
+    tracks U, ``right`` tracks V; a transform that is not tracked is
+    None.
 
     Pivot rule: the first entry of smallest nonzero absolute value,
     scanning the working submatrix rows then columns. The pivots depend
@@ -312,27 +305,23 @@ def _smith(a, *, left, right):
     m, n = a.rows, a.cols
     A = [list(r) for r in a._entries]
     U = _identity_rows(m) if left else None
-    Ui = _identity_rows(m) if left else None
     Vc = _identity_rows(n) if right else None
 
     def row_op(i, j, q):
-        # row_i -= q * row_j, so col_j += q * col_i on U^-1.
+        # row_i -= q * row_j
         A[i] = [x - q * y for x, y in zip(A[i], A[j])]
         if left:
             U[i] = [x - q * y for x, y in zip(U[i], U[j])]
-            Ui[j] = [x + q * y for x, y in zip(Ui[j], Ui[i])]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         if left:
             U[i], U[j] = U[j], U[i]
-            Ui[i], Ui[j] = Ui[j], Ui[i]
 
     def col_op(i, j, q):
         # col_i -= q * col_j
         for row in A:
-            if row[j]:
-                row[i] -= q * row[j]
+            row[i] -= q * row[j]
         if right:
             Vc[i] = [x - q * y for x, y in zip(Vc[i], Vc[j])]
 
@@ -385,23 +374,22 @@ def _smith(a, *, left, right):
                         dirty = True
             if dirty:
                 continue
-            # Enforce divisibility of the remaining submatrix; a unit
-            # pivot divides everything.
+            # Enforce divisibility of the remaining submatrix.
+            offender = None
             p = A[d][d]
-            if p in (1, -1):
-                break
-            offender = next(
-                (i for i in range(d + 1, m) if any(x % p for x in A[i][d + 1:])),
-                None,
-            )
+            for i in range(d + 1, m):
+                for j in range(d + 1, n):
+                    if A[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
             if offender is None:
                 break
-            # Pull the offending row into row d and reduce again:
-            # row_d += row_o, so col_o -= col_d on U^-1.
+            # Pull the offending row into row d and reduce again.
             A[d] = [x + y for x, y in zip(A[d], A[offender])]
             if left:
                 U[d] = [x + y for x, y in zip(U[d], U[offender])]
-                Ui[offender] = [x - y for x, y in zip(Ui[offender], Ui[d])]
         d += 1
 
     for i in range(min(m, n)):
@@ -409,8 +397,7 @@ def _smith(a, *, left, right):
             A[i] = [-x for x in A[i]]
             if left:
                 U[i] = [-x for x in U[i]]
-                Ui[i] = [-x for x in Ui[i]]
-    return d, A, U, Ui, Vc
+    return d, A, U, Vc
 
 
 def determinant(a: IntegerMatrix) -> int:

@@ -25,10 +25,9 @@ with the report when it is invalid. So they accept exactly the complexes
 the validator calls valid (the charge lattice and the DSZ check also
 need dimension >= 2).
 
-Cohomology is computed in integers, without Fractions: image
-coordinates come from ``exact_linalg.left_inverse``, kernel bases from
-``kernel_lattice``, and the torsion and free generators from one SNF of
-the image, whose U^-1 is tracked during the elimination.
+Cohomology is computed in integers, without Fractions: inverses and
+image coordinates come from ``exact_linalg.left_inverse``, and an SNF
+only where a kernel basis or invariant factors are the answer.
 
 Charge classes are stored in units of 2 pi, which keeps every check
 rational and exact. The Smith form that gives H^2 and the charge basis
@@ -427,7 +426,7 @@ def _cohomology(c: TwistedComplex, k: int):
     snf = smith_normal_form(R)
     rank_R = snf.rank()
     torsion = tuple(d for d in snf.invariant_factors() if d > 1)
-    gens = IntegerMatrix._trusted(tuple(zip(*kernel))) * snf.U_inv
+    gens = IntegerMatrix._trusted(tuple(zip(*kernel))) * inverse_unimodular(snf.U)
     free_basis = [gens.column_vector(j) for j in range(rank_R, r)]
     return CohomologyResult(k, r - rank_R, torsion, free_basis), (D, N, snf.U, rank_R)
 
@@ -440,8 +439,6 @@ def twisted_cohomology(c: TwistedComplex, k: int) -> CohomologyResult:
     ``left_inverse`` the image has integer coordinates R = N d_{k-1} / D.
     If U R V is the SNF of R, the columns of K U^-1 past rank R are the
     free generators, and the invariant factors above 1 are the torsion.
-    U^-1 comes with the SNF, tracked during its elimination, so no
-    second elimination inverts U.
     """
     return _cohomology(c, k)[0]
 

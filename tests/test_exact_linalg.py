@@ -112,7 +112,6 @@ def test_snf_elimination_against_oracles():
     for A in _snf_sweep(rng):
         snf = smith_normal_form(A)
         assert snf.U * A * snf.V == snf.S
-        assert snf.U * snf.U_inv == IntegerMatrix.identity(A.rows)
         r = snf.rank()
         assert kernel_lattice(A) == [snf.V.column_vector(j) for j in range(r, A.cols)]
         assert rank(A) == r
@@ -279,7 +278,7 @@ def test_closed_operations_match_validated_construction():
         ints = [rng.randint(-9, 9) for _ in range(k)]
         assert A.apply(ints) == tuple(sum(la[i][q] * ints[q] for q in range(k)) for i in range(r))
         snf = smith_normal_form(A)
-        for X in (snf.U, snf.S, snf.V, snf.U_inv):
+        for X in (snf.U, snf.S, snf.V):
             assert X == IntegerMatrix(X.to_lists())
 
 

@@ -181,7 +181,7 @@ def _twisted_sweep(rng):
 
 
 def test_free_basis_equals_kernel_times_inverted_snf_transform():
-    """The tracked U^-1 gives the generators K U^-1 of inverting U afterwards."""
+    """free_basis is K U^-1 past rank R, rebuilt here from the public pieces."""
     rng = random.Random(61)
     for c in _twisted_sweep(rng):
         diffs = [twisted_differential(c, k) for k in range(c.dimension)]
