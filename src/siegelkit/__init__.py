@@ -78,7 +78,6 @@ from .siegel_group import (
     aff_act,
     aff_compose,
     aff_inverse,
-    apply_to_lift,
     lattice_rep,
 )
 from .symplectic_lattices import (

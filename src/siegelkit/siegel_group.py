@@ -8,12 +8,23 @@ componentwise reduction modulo 1. The multiplication rule is
 
     (a1, gamma1) (a2, gamma2) = (a1 + gamma1 a2, gamma1 gamma2).
 
+An element stores its translation as integer numerators over one
+positive denominator, a = num / den, in canonical form: 0 <= num_i < den
+and gcd(den, num_1, ..., num_2n) = 1. Each point of the torus has
+exactly one such form, so equal elements have equal fields, and the
+group law is integer arithmetic: over den = lcm(den_1, den_2) a product
+is one integer matrix-vector product, a sum and a reduction mod den,
+with one gcd to make the result canonical. The ``translation`` property
+gives the reduced ``Fraction`` coordinates.
+
 The public constructor tests the rotation for membership in
 Sp_t(2n, Z). Products and inverses of members are members, so the group
 law builds its results without repeating that test.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch, NotSymplectic, TypeMismatch
 from .exact_linalg import IntegerMatrix
@@ -59,7 +70,7 @@ class TorusPoint:
 class AffineSymplectomorphism:
     """An element (a, gamma) of the affine Siegel group of type t."""
 
-    __slots__ = ("translation", "rotation", "type")
+    __slots__ = ("_num", "_den", "rotation", "type")
 
     def __init__(self, translation, rotation: IntegerMatrix, type: LatticeType):
         translation = reduce_mod_lattice(translation)
@@ -69,33 +80,55 @@ class AffineSymplectomorphism:
             )
         if not sp_type_membership(rotation, type):
             raise NotSymplectic("rotation part is not in the Siegel modular group")
-        _init(self, translation, rotation, type)
+        # Over the lcm of reduced denominators the form is canonical:
+        # a coordinate with the full power of a prime p in its
+        # denominator has a numerator prime to p.
+        den = lcm(*(c.denominator for c in translation))
+        num = tuple(c.numerator * (den // c.denominator) for c in translation)
+        _init(self, num, den, rotation, type)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSymplectomorphism is immutable")
 
     @classmethod
-    def _trusted(cls, translation, rotation: IntegerMatrix, type: LatticeType):
-        """Build from a rotation known to lie in Sp_t(2n, Z), without retesting."""
+    def _trusted(cls, num, den, rotation: IntegerMatrix, type: LatticeType):
+        """Build the element with translation num / den, den > 0, without retests.
+
+        Only for a rotation known to lie in Sp_t(2n, Z) and 2n integer
+        numerators. They are reduced mod den, and numerators and den
+        divided by their gcd, which gives the canonical form.
+        """
+        num = [a % den for a in num]
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
         x = object.__new__(cls)
-        _init(x, reduce_mod_lattice(translation), rotation, type)
+        _init(x, tuple(num), den, rotation, type)
         return x
 
     @classmethod
     def identity(cls, type: LatticeType):
         n2 = 2 * type.n
-        return cls._trusted((Fraction(0),) * n2, IntegerMatrix.identity(n2), type)
+        return cls._trusted((0,) * n2, 1, IntegerMatrix.identity(n2), type)
+
+    @property
+    def translation(self):
+        """The translation as reduced ``Fraction`` coordinates in [0, 1)."""
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     def __eq__(self, other):
         return (
             isinstance(other, AffineSymplectomorphism)
             and self.type == other.type
-            and self.translation == other.translation
+            and self._den == other._den
+            and self._num == other._num
             and self.rotation == other.rotation
         )
 
     def __hash__(self):
-        return hash((self.translation, self.rotation, self.type))
+        return hash((self._num, self._den, self.rotation, self.type))
 
     def __repr__(self):
         return (
@@ -104,10 +137,20 @@ class AffineSymplectomorphism:
         )
 
 
-def _init(x, translation, rotation, type):
-    object.__setattr__(x, "translation", translation)
+def _init(x, num, den, rotation, type):
+    object.__setattr__(x, "_num", num)
+    object.__setattr__(x, "_den", den)
     object.__setattr__(x, "rotation", rotation)
     object.__setattr__(x, "type", type)
+
+
+def _times(gamma, num):
+    """gamma num for integer numerators, one integer dot product per row.
+
+    Equal to ``gamma.apply(num)``, whose general path (ints, Fractions
+    or both) takes about twice as long on these 2n-entry vectors.
+    """
+    return [sum(map(mul, gamma.row(i), num)) for i in range(gamma.rows)]
 
 
 def _check_types(x, y):
@@ -122,18 +165,21 @@ def aff_compose(
 ) -> AffineSymplectomorphism:
     """Product (a_x + gamma_x a_y, gamma_x gamma_y), reduced mod the lattice."""
     _check_types(x, y)
-    moved = x.rotation.apply(y.translation)
-    translation = tuple(a + b for a, b in zip(x.translation, moved))
+    dx, dy = x._den, y._den
+    den = lcm(dx, dy)
+    sx, sy = den // dx, den // dy
+    moved = _times(x.rotation, y._num)
+    num = [a * sx + b * sy for a, b in zip(x._num, moved)]
     return AffineSymplectomorphism._trusted(
-        translation, x.rotation * y.rotation, x.type
+        num, den, x.rotation * y.rotation, x.type
     )
 
 
 def aff_inverse(x: AffineSymplectomorphism) -> AffineSymplectomorphism:
     """Inverse (-gamma^{-1} a, gamma^{-1}) via the closed-form symplectic inverse."""
     inv = symplectic_inverse(x.rotation, x.type)
-    translation = tuple(-c for c in inv.apply(x.translation))
-    return AffineSymplectomorphism._trusted(translation, inv, x.type)
+    num = [-c for c in _times(inv, x._num)]
+    return AffineSymplectomorphism._trusted(num, x._den, inv, x.type)
 
 
 def aff_act(x: AffineSymplectomorphism, p: TorusPoint) -> TorusPoint:
@@ -146,16 +192,6 @@ def aff_act(x: AffineSymplectomorphism, p: TorusPoint) -> TorusPoint:
     return TorusPoint(
         tuple(a + b for a, b in zip(moved, x.translation)), x.type
     )
-
-
-def apply_to_lift(x: AffineSymplectomorphism, coords):
-    """Action gamma v + a on an unreduced rational lift of a torus point.
-
-    Difference vectors of lifts transform by gamma alone, which is the
-    exact content of the pairing-preservation property of the action.
-    """
-    moved = x.rotation.apply(tuple(Fraction(c) for c in coords))
-    return tuple(a + b for a, b in zip(moved, x.translation))
 
 
 def lattice_rep(x: AffineSymplectomorphism) -> IntegerMatrix:

@@ -12,7 +12,6 @@ from siegelkit.siegel_group import (
     aff_act,
     aff_compose,
     aff_inverse,
-    apply_to_lift,
     lattice_rep,
 )
 from siegelkit.symplectic_lattices import (
@@ -129,6 +128,12 @@ def test_lattice_rep_examples_and_homomorphism():
         assert lattice_rep(aff_compose(x, y)) == lattice_rep(x) * lattice_rep(y)
 
 
+def _apply_to_lift(x, coords):
+    """Action gamma v + a on an unreduced rational lift of a torus point."""
+    moved = x.rotation.apply(tuple(Fraction(c) for c in coords))
+    return tuple(a + b for a, b in zip(moved, x.translation))
+
+
 def test_pairing_of_lift_differences_preserved():
     """The symplectic pairing of difference vectors is exactly invariant.
 
@@ -149,7 +154,7 @@ def test_pairing_of_lift_differences_preserved():
         p, q, r, s = lifts
         d1 = tuple(a - b for a, b in zip(p, q))
         d2 = tuple(a - b for a, b in zip(r, s))
-        moved = [apply_to_lift(x, v) for v in lifts]
+        moved = [_apply_to_lift(x, v) for v in lifts]
         m1 = tuple(a - b for a, b in zip(moved[0], moved[1]))
         m2 = tuple(a - b for a, b in zip(moved[2], moved[3]))
 
@@ -188,3 +193,103 @@ def test_group_law_results_pass_public_membership_sweep():
                 assert sp_type_membership(z.rotation, t)
                 assert AffineSymplectomorphism(z.translation, z.rotation, t) == z
                 assert all(0 <= c < 1 for c in z.translation)
+
+
+def test_integer_group_law_matches_fraction_formulas():
+    """The numerator-over-denominator law against the Fraction formulas.
+
+    a_x + gamma_x a_y mod 1 for products, -gamma^{-1} a mod 1 for
+    inverses and gamma p + a mod 1 for the action, with gamma^{-1}
+    checked as a two-sided inverse first.
+    """
+    rng = random.Random(1313)
+
+    def rational():
+        den = rng.choice([1, 2, 6, 12, rng.randint(1, 10**6)])
+        return Fraction(rng.randint(-3 * den, 3 * den), den)
+
+    def mat_vec(g, v):
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in g.to_lists())
+
+    for n in (1, 2, 3):
+        e = AffineSymplectomorphism.identity(LatticeType((1,) * n))
+        assert e.translation == (Fraction(0),) * (2 * n) and e._den == 1
+        for _ in range(40):
+            t = random_lattice_type(rng, n)
+            x, y = (
+                AffineSymplectomorphism(
+                    [rational() for _ in range(2 * n)],
+                    random_sp_t_element(rng, t, steps=4),
+                    t,
+                )
+                for _ in range(2)
+            )
+            a_x, a_y = x.translation, y.translation
+            want = tuple(
+                (a + b) % 1 for a, b in zip(a_x, mat_vec(x.rotation, a_y))
+            )
+            z = aff_compose(x, y)
+            assert z.translation == want
+            assert z == AffineSymplectomorphism(want, x.rotation * y.rotation, t)
+
+            inv = aff_inverse(x)
+            identity = IntegerMatrix.identity(2 * n)
+            assert x.rotation * inv.rotation == identity == inv.rotation * x.rotation
+            assert inv.translation == tuple(
+                -c % 1 for c in mat_vec(inv.rotation, a_x)
+            )
+
+            e = AffineSymplectomorphism.identity(t)
+            assert aff_compose(x, e) == x == aff_compose(e, x)
+            assert hash(aff_compose(x, inv)) == hash(e)
+
+            p = TorusPoint([rational() for _ in range(2 * n)], t)
+            assert aff_act(x, p).coords == tuple(
+                (c + a) % 1 for c, a in zip(mat_vec(x.rotation, p.coords), a_x)
+            )
+
+
+def test_translation_canonical_form():
+    """0 <= num < den, gcd(den, *num) = 1: equal elements, equal fields."""
+    forms = [
+        AffineSymplectomorphism([Fraction(c), 0], I2, T1)
+        for c in ("1/2", "-1/2", "3/2")
+    ]
+    assert forms[0] == forms[1] == forms[2]
+    assert len({hash(x) for x in forms}) == 1
+    assert all((x._num, x._den) == ((1, 0), 2) for x in forms)
+
+    sixth = AffineSymplectomorphism([Fraction(1, 6), 0], I2, T1)
+    third = AffineSymplectomorphism([Fraction(1, 3), 0], I2, T1)
+    half = aff_compose(sixth, third)
+    assert (half._num, half._den) == ((1, 0), 2)
+    assert half == forms[0]
+    assert half._num == third._num and half != third
+
+    whole = AffineSymplectomorphism([3, -2], I2, T1)
+    assert (whole._num, whole._den) == ((0, 0), 1)
+    assert whole == AffineSymplectomorphism.identity(T1)
+    assert aff_compose(half, half)._den == 1
+
+    p, q = 2**61 - 1, 10**30 + 1
+    x = AffineSymplectomorphism([Fraction(1, p), 0], I2, T1)
+    y = AffineSymplectomorphism([Fraction(-1, q), Fraction(1, q)], I2, T1)
+    z = aff_compose(x, y)
+    assert z._den == p * q
+    assert z.translation == (Fraction(1, p) - Fraction(1, q), Fraction(1, q))
+    assert aff_compose(z, aff_inverse(z)) == AffineSymplectomorphism.identity(T1)
+
+    for w in (half, z, aff_inverse(z)):
+        assert all(type(c) is Fraction and 0 <= c < 1 for c in w.translation)
+        assert [c * w._den for c in w.translation] == list(w._num)
+
+    shear = IntegerMatrix([[1, 1], [0, 1]])
+    trusted = {
+        AffineSymplectomorphism._trusted((3, 7), 6, shear, T1),
+        AffineSymplectomorphism._trusted((-8, 16), 12, shear, T1),
+    }
+    public = {
+        AffineSymplectomorphism([Fraction(1, 2), Fraction(1, 6)], shear, T1),
+        AffineSymplectomorphism([Fraction(1, 3), Fraction(1, 3)], shear, T1),
+    }
+    assert trusted == public and len(trusted | public) == 2
