@@ -180,7 +180,7 @@ class IntegerMatrix:
             den = lcm(*(x.denominator for x in vec))
             nums = [x.numerator * (den // x.denominator) for x in vec]
             return tuple(Fraction(_dot(row, nums), den) for row in self._entries)
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self._entries)
+        return tuple(_dot(row, vec) for row in self._entries)
 
     def is_square(self):
         return self.rows == self.cols

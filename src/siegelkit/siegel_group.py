@@ -24,7 +24,6 @@ law builds its results without repeating that test.
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .errors import DimensionMismatch, NotSymplectic, TypeMismatch
 from .exact_linalg import IntegerMatrix
@@ -144,15 +143,6 @@ def _init(x, num, den, rotation, type):
     object.__setattr__(x, "type", type)
 
 
-def _times(gamma, num):
-    """gamma num for integer numerators, one integer dot product per row.
-
-    Equal to ``gamma.apply(num)``, whose general path (ints, Fractions
-    or both) takes about twice as long on these 2n-entry vectors.
-    """
-    return [sum(map(mul, gamma.row(i), num)) for i in range(gamma.rows)]
-
-
 def _check_types(x, y):
     if x.type != y.type:
         raise TypeMismatch(
@@ -168,7 +158,7 @@ def aff_compose(
     dx, dy = x._den, y._den
     den = lcm(dx, dy)
     sx, sy = den // dx, den // dy
-    moved = _times(x.rotation, y._num)
+    moved = x.rotation.apply(y._num)
     num = [a * sx + b * sy for a, b in zip(x._num, moved)]
     return AffineSymplectomorphism._trusted(
         num, den, x.rotation * y.rotation, x.type
@@ -178,7 +168,7 @@ def aff_compose(
 def aff_inverse(x: AffineSymplectomorphism) -> AffineSymplectomorphism:
     """Inverse (-gamma^{-1} a, gamma^{-1}) via the closed-form symplectic inverse."""
     inv = symplectic_inverse(x.rotation, x.type)
-    num = [-c for c in _times(inv, x._num)]
+    num = [-c for c in inv.apply(x._num)]
     return AffineSymplectomorphism._trusted(num, x._den, inv, x.type)
 
 
