@@ -186,7 +186,7 @@ class IntegerMatrix:
         return self.rows == self.cols
 
     def is_zero(self):
-        return all(a == 0 for r in self._entries for a in r)
+        return not any(map(any, self._entries))
 
     def max_abs(self):
         return max(abs(a) for r in self._entries for a in r)

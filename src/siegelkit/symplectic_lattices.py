@@ -12,8 +12,6 @@ closed form from the diagonal of t, without building Omega_t or taking
 determinants.
 """
 
-from operator import mul
-
 from .errors import (
     DegenerateForm,
     DimensionMismatch,
@@ -226,22 +224,22 @@ def sp_type_membership(gamma: IntegerMatrix, t: LatticeType) -> bool:
     and det(Omega_t) = (t_1 ... t_n)^2 is nonzero, so det(gamma) = +-1
     and an integer gamma is unimodular.
 
-    The pairing omega(c_i, c_j) = sum_k t_k (a_ik b_jk - b_ik a_jk) of
-    every column pair, with a and b the top and bottom halves of the
-    columns, is compared with Omega_t on the upper triangle only (both
-    sides are antisymmetric), stopping at the first mismatch.
+    The pairing omega(c_i, c_j) = sum_k t_k (g_ki g_(n+k)j - g_(n+k)i g_kj)
+    of every column pair is read straight from the top and bottom halves
+    of the rows of gamma, with no transpose, and compared with Omega_t
+    on the upper triangle only (both sides are antisymmetric), stopping
+    at the first mismatch.
     """
     _check_size(gamma, t)
     n = t.n
     ts = t.entries
-    cols = list(zip(*(gamma.row(i) for i in range(2 * n))))
-    tops = [c[:n] for c in cols]
-    bottoms = [c[n:] for c in cols]
-    for i, (a_i, b_i) in enumerate(zip(tops, bottoms)):
-        ta_i = tuple(map(mul, ts, a_i))
-        tb_i = tuple(map(mul, ts, b_i))
+    rows = gamma._entries
+    halves = tuple(zip(ts, rows[:n], rows[n:]))
+    for i in range(2 * n):
         for j in range(i + 1, 2 * n):
-            pairing = sum(map(mul, ta_i, bottoms[j])) - sum(map(mul, tb_i, tops[j]))
+            pairing = 0
+            for tk, a, b in halves:
+                pairing += tk * (a[i] * b[j] - b[i] * a[j])
             if pairing != (ts[i] if j == i + n else 0):
                 return False
     return True

@@ -117,8 +117,9 @@ def _vec(m: IntegerMatrix):
 
 
 def _unvec(v, size):
-    return IntegerMatrix(
-        [[v[j * size + i] for j in range(size)] for i in range(size)]
+    """The matrix whose column-major vectorization is the int tuple v."""
+    return IntegerMatrix._trusted(
+        tuple(zip(*(v[j : j + size] for j in range(0, size * size, size))))
     )
 
 
@@ -126,18 +127,20 @@ def commutant_lattice(h: HolonomySubgroup):
     """Z-basis of {X integer : X g = g X for every generator g}.
 
     Solved exactly as the kernel of the stacked Sylvester maps
-    X -> X g - g X on column-major vectorizations.
+    X -> X g - g X on column-major vectorizations. The generators were
+    validated when h was built, so the stack and the basis matrices are
+    closed operations on their ints and skip the per-entry checks.
     """
     m = h.size
     ident = IntegerMatrix.identity(m)
     blocks = []
     for g in h.generators:
         sylv = g.transpose().kronecker(ident) - ident.kronecker(g)
-        blocks.extend(sylv.to_lists())
-    if not blocks:
-        blocks = IntegerMatrix.zeros(1, m * m).to_lists()
-    basis_vecs = kernel_lattice(IntegerMatrix(blocks))
-    return [_unvec(v, m) for v in basis_vecs]
+        blocks.extend(sylv._entries)
+    stack = (
+        IntegerMatrix._trusted(tuple(blocks)) if blocks else IntegerMatrix.zeros(1, m * m)
+    )
+    return [_unvec(v, m) for v in kernel_lattice(stack)]
 
 
 def _coefficient_box(basis, bound):
@@ -186,7 +189,11 @@ def _last_coefficients(partial, v, lo, hi, t: LatticeType):
 
         omega(X_i, X_j) - (Omega_t)_ij = a + b c + q c^2,
         a = omega(P_i, P_j) - (Omega_t)_ij,
-        b = omega(P_i, V_j) + omega(V_i, P_j),  q = omega(V_i, V_j).
+        b = omega(P_i, V_j) + omega(V_i, P_j),  q = omega(V_i, V_j),
+
+    with omega(x_i, y_j) = sum_k t_k (x_ki y_(n+k)j - x_(n+k)i y_kj) read
+    straight from the top and bottom halves of the rows of P and V, as
+    in sp_type_membership.
 
     The pairs are taken in sp_type_membership's order. A constant pair
     (b = q = 0) with a != 0 leaves no c; the first pair that depends on
@@ -197,17 +204,20 @@ def _last_coefficients(partial, v, lo, hi, t: LatticeType):
     n = t.n
     m = 2 * n
     ts = t.entries
-    P = [partial[i::m] for i in range(m)]
-    V = [v[i::m] for i in range(m)]
-
-    def omega(x, y):
-        return sum(tk * (x[k] * y[n + k] - x[n + k] * y[k]) for k, tk in enumerate(ts))
-
+    # (t_k, rows k and n + k of P, rows k and n + k of V)
+    halves = []
+    for k, tk in enumerate(ts):
+        x, y = k * m, (n + k) * m
+        halves.append((tk, partial[x : x + m], partial[y : y + m], v[x : x + m], v[y : y + m]))
     for i in range(m):
         for j in range(i + 1, m):
-            q = omega(V[i], V[j])
-            b = omega(P[i], V[j]) + omega(V[i], P[j])
-            a = omega(P[i], P[j]) - (ts[i] if j == i + n else 0)
+            a = b = q = 0
+            for tk, pa, pb, va, vb in halves:
+                a += tk * (pa[i] * pb[j] - pb[i] * pa[j])
+                b += tk * (pa[i] * vb[j] - pb[i] * va[j] + va[i] * pb[j] - vb[i] * pa[j])
+                q += tk * (va[i] * vb[j] - vb[i] * va[j])
+            if j == i + n:
+                a -= ts[i]
             if b or q:
                 return _integer_roots(a, b, q, lo, hi)
             if a:

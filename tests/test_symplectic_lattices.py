@@ -25,10 +25,12 @@ from siegelkit.symplectic_lattices import (
     type_of,
 )
 
-# Principal and non-principal types for n = 1, 2, 3.
+# Principal and non-principal types for n = 1-4.
 SWEEP_TYPES = [
     LatticeType(e)
-    for e in ((1,), (3,), (1, 1), (1, 2), (2, 6), (1, 1, 1), (1, 2, 4), (1, 3, 6))
+    for e in (
+        (1,), (3,), (1, 1), (1, 2), (2, 6), (1, 1, 1), (1, 2, 4), (1, 3, 6), (1, 1, 2, 6)
+    )
 ]
 
 

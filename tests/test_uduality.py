@@ -354,23 +354,48 @@ def test_symplectic_box_n2_matches_numpy_oracle(entries, count):
 
 
 def test_centralizer_matches_naive_coefficient_loop():
+    """Types (1,) and (1, 1), then (3,) and (1, 2), whose non-unit t_k weight the quadratic."""
     rng = random.Random(44)
     ident = IntegerMatrix.identity(2)
-    for bound in range(1, 7):
-        for _ in range(4):
-            g = random_sl2z(rng, 6)
-            if g in (ident, -ident):
+    for t1, t2, top in ((T1, T2, 6), (LatticeType((3,)), LatticeType((1, 2)), 4)):
+        for bound in range(1, top + 1):
+            for _ in range(4):
+                g = random_sl2z(rng, 6)
+                if g in (ident, -ident):
+                    continue
+                h = HolonomySubgroup([g], t1)
+                assert centralizer_enumerate(h, bound) == naive_centralizer(h, bound)
+        checked = 0
+        while checked < 4:
+            g = random_sp_t_element(rng, t2, steps=4, entry_bound=2)
+            h = HolonomySubgroup([g], t2)
+            if len(commutant_lattice(h)) > 6:
                 continue
-            h = HolonomySubgroup([g], T1)
-            assert centralizer_enumerate(h, bound) == naive_centralizer(h, bound)
-    checked = 0
-    while checked < 4:
-        g = random_sp_t_element(rng, T2, steps=4, entry_bound=2)
-        h = HolonomySubgroup([g], T2)
-        if len(commutant_lattice(h)) > 6:
-            continue
-        assert centralizer_enumerate(h, 1) == naive_centralizer(h, 1)
-        checked += 1
+            assert centralizer_enumerate(h, 1) == naive_centralizer(h, 1)
+            checked += 1
+
+
+def test_centralizer_builds_no_validated_matrix(monkeypatch):
+    """The commutant and the walk are closed operations on validated ints."""
+    J = IntegerMatrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    holonomies = [
+        HolonomySubgroup([SHEAR], T1),
+        HolonomySubgroup([J], T2),
+        HolonomySubgroup([], T1),
+    ]
+    validated = []
+    init = IntegerMatrix.__init__
+
+    def counting_init(self, entries):
+        validated.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(IntegerMatrix, "__init__", counting_init)
+    for h in holonomies:
+        basis = commutant_lattice(h)
+        assert basis
+        assert centralizer_enumerate(h, 1)
+    assert validated == []
 
 
 def full_box(t, bound):
@@ -646,6 +671,14 @@ def test_last_coefficients_constant_nonzero_pair():
 def test_last_coefficients_all_pairs_constant():
     # det [[1, c], [0, 1]] - 1 = 0 for every c.
     assert list(_last_coefficients([1, 0, 0, 1], [0, 1, 0, 0], -3, 3, T1)) == list(
+        range(-3, 4)
+    )
+    # The shear [[I, c B], [0, I]] with T B = diag(0, 2) symmetric is in
+    # Sp_(1,2) for every c; its pair (1, 3) pairs to t_2 = 2.
+    shear = [0] * 16
+    shear[7] = 1
+    P = _flat(IntegerMatrix.identity(4))
+    assert list(_last_coefficients(P, shear, -3, 3, LatticeType((1, 2)))) == list(
         range(-3, 4)
     )
 
