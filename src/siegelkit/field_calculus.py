@@ -12,6 +12,8 @@ flag; both choices only reach observables through the Hodge operator,
 which is tested intrinsically (star^2 = -1 on two-forms).
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import (
@@ -24,16 +26,10 @@ from .polarization import FundamentalFormSample, Taming, _as_float, push_forward
 
 INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# The Levi-Civita symbol: the sign of each permutation, by its inversions.
 _EPSILON = np.zeros((4, 4, 4, 4))
-for _p in (
-    (0, 1, 2, 3, 1), (0, 1, 3, 2, -1), (0, 2, 1, 3, -1), (0, 2, 3, 1, 1),
-    (0, 3, 1, 2, 1), (0, 3, 2, 1, -1), (1, 0, 2, 3, -1), (1, 0, 3, 2, 1),
-    (1, 2, 0, 3, 1), (1, 2, 3, 0, -1), (1, 3, 0, 2, -1), (1, 3, 2, 0, 1),
-    (2, 0, 1, 3, 1), (2, 0, 3, 1, -1), (2, 1, 0, 3, -1), (2, 1, 3, 0, 1),
-    (2, 3, 0, 1, 1), (2, 3, 1, 0, -1), (3, 0, 1, 2, -1), (3, 0, 2, 1, 1),
-    (3, 1, 0, 2, 1), (3, 1, 2, 0, -1), (3, 2, 0, 1, -1), (3, 2, 1, 0, 1),
-):
-    _EPSILON[_p[0], _p[1], _p[2], _p[3]] = _p[4]
+for _p in itertools.permutations(range(4)):
+    _EPSILON[_p] = (-1) ** sum(a > b for a, b in itertools.combinations(_p, 2))
 _EPSILON.flags.writeable = False
 
 
@@ -214,11 +210,9 @@ def maxwell_residual(
     forward tamings; for the standard pair (Q = identity) this is the
     plain Frobenius norm.
     """
-    from .polarization import q_metric
-
     op = PolarizedStar(frame, taming)
     D = op(sample).F - sample.F
-    return float(np.sqrt(max(0.0, float(np.trace(D @ q_metric(taming) @ D.T)))))
+    return float(np.sqrt(max(0.0, float(np.trace(D @ taming.Q @ D.T)))))
 
 
 def _check_q(Q, width):
@@ -242,6 +236,15 @@ def inner_contraction(
     return np.einsum("ab,amx,xy,bny->mn", Qm, s1, frame.ginv, s2)
 
 
+def _pairing(F1, F2, frame: PointFrame, Q) -> float:
+    """twisted_pairing on 6 x w arrays whose shapes match each other and Q."""
+    s1 = _unpack_stack(F1)
+    s2 = _unpack_stack(F2)
+    return 0.5 * float(
+        np.einsum("ab,amn,mr,ns,brs->", Q, s1, frame.ginv, frame.ginv, s2)
+    )
+
+
 def twisted_pairing(
     F1: FieldStrengthSample, F2: FieldStrengthSample, frame: PointFrame, Q
 ) -> float:
@@ -251,12 +254,7 @@ def twisted_pairing(
     """
     if F1.F.shape != F2.F.shape:
         raise DimensionMismatch("samples have different shapes")
-    Qm = _check_q(Q, F1.F.shape[1])
-    s1 = _unpack_stack(F1.F)
-    s2 = _unpack_stack(F2.F)
-    return 0.5 * float(
-        np.einsum("ab,amn,mr,ns,brs->", Qm, s1, frame.ginv, frame.ginv, s2)
-    )
+    return _pairing(F1.F, F2.F, frame, _check_q(Q, F1.F.shape[1]))
 
 
 def trace_g(frame: PointFrame, h) -> float:
@@ -314,12 +312,10 @@ def scalar_rhs(
             raise InvalidFundamentalForm(
                 f"component {k} has shape {P.shape}, expected {(width, width)}"
             )
-    starF = FieldStrengthSample(hodge_star_matrix(frame) @ sample.F)
-    values = []
-    for P in psi.components:
-        psiF = FieldStrengthSample(sample.F @ P.T)
-        values.append(0.5 * twisted_pairing(starF, psiF, frame, Qm))
-    values = tuple(values)
+    starF = hodge_star_matrix(frame) @ sample.F
+    values = tuple(
+        0.5 * _pairing(starF, sample.F @ P.T, frame, Qm) for P in psi.components
+    )
     if lhs is None:
         return values, None
     lhs = tuple(float(x) for x in lhs)

@@ -251,7 +251,7 @@ def decode_siegel_point(obj, where="siegel point") -> SiegelPoint:
 
 def decode_frame(obj, where="frame") -> PointFrame:
     g = decode_float_matrix(_need(obj, "g", where), where)
-    orientation = obj.get("orientation", 1)
+    orientation = decode_integer(obj.get("orientation", 1), where)
     if orientation not in (1, -1):
         raise ParseError(f"orientation must be 1 or -1 in {where}")
     return PointFrame(g, orientation)

@@ -3,12 +3,15 @@
 Conventions, fixed once and validated by the test suite:
 
 * the Gram matrix of the symplectic pairing enters on the left, so the
-  metric of a taming J is Q = Omega @ J;
+  metric of a taming J is Q = Omega @ J, computed once when the Taming
+  is built and read from it afterwards (Taming.Q, q_metric);
 * positivity means Q symmetric positive definite, i.e. omega(xi, J xi) > 0
   for nonzero xi (see POSITIVITY_CONVENTION);
 * the taming built from a Siegel upper half space point Z = X + iY uses
   the period normal form (Z, T): its -i eigenspace on the
-  complexification is the graph of -T^{-1} conj(Z).
+  complexification is the graph of -T^{-1} conj(Z). There omega must be
+  Omega_t for a divisor chain t, read by symplectic_lattices.omega_type
+  (the same reader as the U-duality fiber product), and T = diag(t).
 
 All checks are tolerance based because tamings built from Siegel points
 are irrational in general; pass exact (integer-valued) J matrices with
@@ -25,6 +28,7 @@ from .errors import (
     ParseError,
 )
 from .exact_linalg import IntegerMatrix, rational_solve_many
+from .symplectic_lattices import omega_type
 
 POSITIVITY_CONVENTION = "omega(xi, J xi) > 0, i.e. Q = Omega @ J positive definite"
 
@@ -71,7 +75,7 @@ class CheckResult:
 
 
 class TamingReport:
-    """Pass/fail record of the three taming axioms."""
+    """Pass/fail record of named checks, such as the taming axioms."""
 
     def __init__(self, checks):
         self.checks = list(checks)
@@ -131,9 +135,13 @@ def validate_taming(J, omega, tol: float = DEFAULT_TOL) -> TamingReport:
 
 
 class Taming:
-    """A validated compatible positive complex structure on (R^{2n}, omega)."""
+    """A validated compatible positive complex structure on (R^{2n}, omega).
 
-    __slots__ = ("J", "omega", "tol")
+    The metric Q = Omega @ J is computed once, when the taming is built,
+    and kept frozen next to J.
+    """
+
+    __slots__ = ("J", "omega", "tol", "Q")
 
     def __init__(self, J, omega: IntegerMatrix, tol: float = DEFAULT_TOL):
         Jm = _as_float(J)
@@ -146,9 +154,12 @@ class Taming:
                     f"{c.name} (residual {c.residual:.3e})" for c in report.failures()
                 )
             )
+        Q = _as_float(omega) @ Jm
+        Q.flags.writeable = False
         object.__setattr__(self, "J", Jm)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "tol", float(tol))
+        object.__setattr__(self, "Q", Q)
 
     def __setattr__(self, name, value):
         raise AttributeError("Taming is immutable")
@@ -157,13 +168,10 @@ class Taming:
     def n(self):
         return self.J.shape[0] // 2
 
-    def omega_float(self):
-        return _as_float(self.omega)
-
 
 def q_metric(taming: Taming) -> np.ndarray:
     """The metric Q = Omega @ J, symmetric positive definite since the Taming is valid."""
-    return taming.omega_float() @ taming.J
+    return taming.Q
 
 
 class SiegelPoint:
@@ -193,29 +201,6 @@ class SiegelPoint:
         return self.X.shape[0]
 
 
-def _type_diagonal_of(omega: IntegerMatrix) -> np.ndarray:
-    """Extract T from a Gram matrix of the exact shape [[0, T], [-T, 0]]."""
-    m = omega.rows
-    if m % 2 != 0:
-        raise DimensionMismatch("omega must have even size")
-    n = m // 2
-    L = omega.to_lists()
-    T = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            T[i, j] = L[i][n + j]
-            ok = (
-                L[i][j] == 0
-                and L[n + i][n + j] == 0
-                and L[n + i][j] == -L[j][n + i]
-            )
-            if not ok:
-                raise NotSymplectic("omega is not in Frobenius form [[0,T],[-T,0]]")
-    if np.max(np.abs(T - T.T)) != 0 or np.min(np.diag(T)) <= 0:
-        raise NotSymplectic("omega is not in Frobenius form [[0,T],[-T,0]]")
-    return T
-
-
 def taming_from_siegel_point(Z: SiegelPoint, omega: IntegerMatrix) -> Taming:
     """Build the taming of Omega_t determined by a Siegel upper half space point.
 
@@ -224,12 +209,14 @@ def taming_from_siegel_point(Z: SiegelPoint, omega: IntegerMatrix) -> Taming:
         J = [[-Y^{-1} X,            -Y^{-1} T          ],
              [ T^{-1}(Y + X Y^{-1} X),  T^{-1} X Y^{-1} T ]]
 
-    The result is certified by validate_taming rather than trusted; at
-    Z = i T it reduces to the standard taming [[0, -I], [I, 0]].
+    with T = diag(t), where omega must be Omega_t for a divisor chain t
+    (omega_type). The result is certified by validate_taming rather than
+    trusted; at Z = i T it reduces to the standard taming [[0, -I], [I, 0]].
     """
-    T = _type_diagonal_of(omega)
-    if T.shape[0] != Z.n:
+    t = omega_type(omega)
+    if t.n != Z.n:
         raise DimensionMismatch("Siegel point size does not match omega")
+    T = _as_float(np.diag(t.entries))
     X, Y = Z.X, Z.Y
     Yinv = np.linalg.inv(Y)
     Tinv = np.linalg.inv(T)
@@ -295,29 +282,16 @@ class FundamentalFormSample:
         return all(np.max(np.abs(c)) <= tol for c in self.components)
 
 
-class FundamentalFormReport:
+class FundamentalFormReport(TamingReport):
     """Per-direction antilinearity and Q-symmetry checks, plus a unitary flag."""
 
     def __init__(self, checks, unitary):
-        self.checks = list(checks)
+        super().__init__(checks)
         self.unitary = bool(unitary)
 
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
     def as_dict(self):
-        return {
-            "passed": self.passed,
-            "unitary": self.unitary,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual}
-                for c in self.checks
-            ],
-        }
+        checks = super().as_dict()["checks"]
+        return {"passed": self.passed, "unitary": self.unitary, "checks": checks}
 
 
 def validate_fundamental_form(
@@ -331,7 +305,7 @@ def validate_fundamental_form(
     if tol is None:
         tol = max(taming.tol, DEFAULT_TOL)
     J = taming.J
-    Q = q_metric(taming)
+    Q = taming.Q
     checks = []
     for k, P in enumerate(psi.components):
         if P.shape != J.shape:
@@ -359,7 +333,7 @@ def fundamental_projection(M, taming: Taming) -> np.ndarray:
     """
     Mm = _as_float(M)
     J = taming.J
-    Q = q_metric(taming)
+    Q = taming.Q
     Qinv = np.linalg.inv(Q)
     A = 0.5 * (Mm + J @ Mm @ J)
     return 0.5 * (A + Qinv @ A.T @ Q)

@@ -16,6 +16,7 @@ from .errors import (
     DegenerateForm,
     DimensionMismatch,
     NotAntisymmetric,
+    NotSymplectic,
 )
 from .exact_linalg import (
     IntegerMatrix,
@@ -69,6 +70,26 @@ def standard_gram(t: LatticeType) -> IntegerMatrix:
         g[i][n + i] = ti
         g[n + i][i] = -ti
     return IntegerMatrix._trusted(tuple(map(tuple, g)))
+
+
+def omega_type(omega: IntegerMatrix) -> LatticeType:
+    """The divisor chain t with omega = Omega_t.
+
+    Raises DimensionMismatch unless omega is square of even size, and
+    NotSymplectic unless it is standard_gram(t) for a divisor chain t.
+    """
+    if not omega.is_square() or omega.rows % 2 != 0:
+        raise DimensionMismatch(
+            f"omega must be square of even size, got {omega.shape()}"
+        )
+    n = omega.rows // 2
+    try:
+        t = LatticeType(omega[i, n + i] for i in range(n))
+    except ValueError:
+        t = None
+    if t is None or standard_gram(t) != omega:
+        raise NotSymplectic("omega is not Omega_t for a divisor chain t")
+    return t
 
 
 class IntegralSymplecticSpace:

@@ -50,7 +50,6 @@ from .errors import (
     BoundTooLargeForBudget,
     DimensionMismatch,
     InvalidModel,
-    NotSymplectic,
     ParseError,
     TypeMismatch,
 )
@@ -59,8 +58,8 @@ from .polarization import Taming
 from .siegel_group import reduce_mod_lattice
 from .symplectic_lattices import (
     LatticeType,
+    omega_type,
     sp_type_membership,
-    standard_gram,
     symplectic_inverse,
 )
 
@@ -302,9 +301,15 @@ def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
 
 
 class FiniteScalarModel:
-    """A finite point set with a finite isometry group and a taming per point."""
+    """A finite point set with a finite isometry group and a taming per point.
 
-    __slots__ = ("points", "isometries", "tamings")
+    The closure check builds the product table of the isometries, and
+    the model keeps it: ``identity_index`` and the index of each
+    composite are stored, so composing two isometries is a lookup. A
+    permutation listed twice is named by its first index.
+    """
+
+    __slots__ = ("points", "isometries", "tamings", "identity_index", "_products")
 
     def __init__(self, points: int, isometries, tamings):
         points = int(points)
@@ -320,16 +325,24 @@ class FiniteScalarModel:
                 raise InvalidModel(f"not a permutation of {points} points: {p}")
             perms.append(p)
         perms = tuple(perms)
-        if not perms or tuple(range(points)) not in perms:
+        index = {}
+        for k, p in enumerate(perms):
+            index.setdefault(p, k)
+        identity = index.get(tuple(range(points)))
+        if identity is None:
             raise InvalidModel("isometry list must contain the identity")
-        perm_set = set(perms)
+        products = []
         for p in perms:
             inv = tuple(p.index(i) for i in range(points))
-            if inv not in perm_set:
+            if inv not in index:
                 raise InvalidModel("isometry list is not closed under inverse")
+            row = []
             for q in perms:
-                if tuple(p[q[i]] for i in range(points)) not in perm_set:
+                k = index.get(tuple(p[q[i]] for i in range(points)))
+                if k is None:
                     raise InvalidModel("isometry list is not closed under composition")
+                row.append(k)
+            products.append(tuple(row))
         tamings = tuple(tamings)
         if len(tamings) != points:
             raise InvalidModel("need exactly one taming per point")
@@ -342,22 +355,15 @@ class FiniteScalarModel:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "isometries", perms)
         object.__setattr__(self, "tamings", tamings)
+        object.__setattr__(self, "identity_index", identity)
+        object.__setattr__(self, "_products", tuple(products))
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteScalarModel is immutable")
 
-    @property
-    def identity_index(self):
-        return self.isometries.index(tuple(range(self.points)))
-
     def compose_isometries(self, i: int, j: int) -> int:
         """Index of isometry i composed after isometry j."""
-        p, q = self.isometries[i], self.isometries[j]
-        composed = tuple(p[q[k]] for k in range(self.points))
-        try:
-            return self.isometries.index(composed)
-        except ValueError:
-            raise InvalidModel("isometry list is not closed under composition")
+        return self._products[i][j]
 
 
 class UDualityElement:
@@ -489,19 +495,19 @@ def _taming_norm_lists(columns, model: FiniteScalarModel, t: LatticeType, bound,
     (t_max / t_min) max|J|) bounds how far the exact max|E| can then
     exceed tol (products of m x m matrices with entries up to b, the
     inverse's up to b t_max / t_min). The last term bounds the rounding
-    of the computed quadratic forms. Neither omega = Omega_t nor a
-    definite Q is needed. The kept columns stay in product order.
+    of the computed quadratic forms. A and Q are the metrics the tamings
+    keep (Taming.Q), which are Omega_t J since the caller has read t from
+    omega; a definite Q is not needed. The kept columns stay in product
+    order.
     """
     m = 2 * t.n
     ts = t.entries
-    omega = np.array(standard_gram(t).to_lists(), dtype=float)
     C = np.array(columns, dtype=float)
     absC = np.abs(C)
-    Js = [tm.J for tm in model.tamings]
-    A = [omega @ J for J in Js]
+    A = [tm.Q for tm in model.tamings]
     norms = [np.einsum("ka,ab,kb->k", C, a, C) for a in A]
     scales = [np.einsum("ka,ab,kb->k", absC, np.abs(a), absC) for a in A]
-    jmax = max(float(np.max(np.abs(J))) for J in Js)
+    jmax = max(float(np.max(np.abs(tm.J))) for tm in model.tamings)
     delta = 2.0**-50 * (tol + m**3 * bound**2 * (max(ts) / min(ts)) * jmax)
     margin = max(ts) * (tol + delta) * absC.sum(axis=1) ** 2
     out = []
@@ -513,18 +519,6 @@ def _taming_norm_lists(columns, model: FiniteScalarModel, t: LatticeType, bound,
             keep &= np.abs(norms[q] - Q) <= margin + slop
         out.append([[columns[i] for i in np.flatnonzero(row)] for row in keep])
     return out
-
-
-def _omega_type(omega: IntegerMatrix) -> LatticeType:
-    """The divisor chain t with omega = Omega_t, else NotSymplectic."""
-    n = omega.rows // 2
-    try:
-        t = LatticeType(omega[i, n + i] for i in range(n))
-    except ValueError:
-        t = None
-    if t is None or standard_gram(t) != omega:
-        raise NotSymplectic("omega is not Omega_t for a divisor chain t")
-    return t
 
 
 def uduality_fiber_product(
@@ -554,7 +548,7 @@ def uduality_fiber_product(
     the compatibility condition and live in the kernel of the adjoint
     map.
     """
-    own = _omega_type(model.tamings[0].omega)
+    own = omega_type(model.tamings[0].omega)
     if t is None:
         t = own
     elif t != own:

@@ -462,8 +462,9 @@ _HUGE_GAMMA = {"entries": [["1", _HUGE], ["0", "1"]]}
         (["taming", "push"], {"taming": _TAMING, "gamma": _HUGE_GAMMA}),
         (["field", "transform"], {**_FIELD, "gamma": _HUGE_GAMMA}),
         (["uduality", "fiber-product", "--bound", "1"], {**_ONE_POINT, "omega": _HUGE_OMEGA}),
+        (["taming", "from-siegel"], {"Z": {"X": [[0.0]], "Y": [[2.0]]}, "omega": _HUGE_OMEGA}),
     ],
-    ids=["taming-validate", "taming-push", "field-transform", "fiber-product"],
+    ids=["taming-validate", "taming-push", "field-transform", "fiber-product", "from-siegel"],
 )
 def test_integers_past_the_float_range_exit_one(argv, payload, capsys):
     code, out = _run_main(argv + ["--json", json.dumps(payload)], capsys)
@@ -512,6 +513,70 @@ def test_fiber_product_refuses_omega_of_no_type(capsys):
     code, out = _run_main(argv, capsys)
     assert code == 2
     assert out == {"error": "omega is not Omega_t for a divisor chain t", "kind": "NotSymplectic"}
+
+
+_SIEGEL_T12 = {"X": [[0.0, 0.0], [0.0, 0.0]], "Y": [[1.0, 0.0], [0.0, 2.0]]}
+
+
+def _from_siegel(Z, entries, capsys):
+    payload = {"Z": Z, "omega": {"entries": entries}}
+    return _run_main(["taming", "from-siegel", "--json", json.dumps(payload)], capsys)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0, 1], [-1, 0], [0, 0], [0, 0]],
+        [[0, 1, 0, 0], [-1, 0, 0, 0]],
+        [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+    ],
+    ids=["tall", "wide", "odd"],
+)
+def test_from_siegel_refuses_omega_of_bad_shape(entries, capsys):
+    code, out = _from_siegel({"X": [[0.0]], "Y": [[2.0]]}, entries, capsys)
+    assert code == 1
+    assert out["kind"] == "DimensionMismatch"
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0, 0, 1, 1], [0, 0, 1, 3], [-1, -1, 0, 0], [-1, -3, 0, 0]],
+        [[0, 0, 2, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]],
+    ],
+    ids=["T-not-diagonal", "T-diag-2-1"],
+)
+def test_from_siegel_refuses_omega_outside_frobenius_form(entries, capsys):
+    """The fiber product's rule: omega must be Omega_t for a divisor chain t."""
+    code, out = _from_siegel(_SIEGEL_T12, entries, capsys)
+    assert code == 2
+    assert out == {"error": "omega is not Omega_t for a divisor chain t", "kind": "NotSymplectic"}
+
+
+def test_from_siegel_answers_omega_of_type_12(capsys):
+    """Z = i diag(1, 2) over Omega_(1,2) gives the standard taming, Q = diag(1, 2, 1, 2)."""
+    omega = jsonio.encode_integer_matrix(standard_gram(LatticeType((1, 2))))
+    code, out = _from_siegel(_SIEGEL_T12, omega["entries"], capsys)
+    assert code == 0
+    assert out["J"] == standard_taming_matrix(2).tolist()
+    assert out["Q"] == np.diag([1.0, 2.0, 1.0, 2.0]).tolist()
+
+
+@pytest.mark.parametrize("orientation", [True, 1.0, -1.0])
+def test_orientation_is_an_integer(orientation, capsys):
+    frame = {**_FIELD["frame"], "orientation": orientation}
+    code, out = _run_main(["field", "star", "--json", json.dumps({"frame": frame})], capsys)
+    assert code == 1
+    assert out == {"error": f"bad integer {orientation!r} in frame"}
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_orientation_digit_string_is_an_integer(orientation, capsys):
+    answers = []
+    for value in (orientation, str(orientation)):
+        frame = {**_FIELD["frame"], "orientation": value}
+        answers.append(_run_main(["field", "star", "--json", json.dumps({"frame": frame})], capsys))
+    assert answers[0] == answers[1] and answers[0][0] == 0
 
 
 def test_tol_zero_is_exact_mode(capsys):

@@ -171,6 +171,58 @@ def test_every_action_answers_mutated_requests_with_one_json_line(data):
     _one_json_line(text)
 
 
+SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (4, 2), (2, 4), (4, 4), (6, 6), (6, 2), (2, 6)]
+
+
+def _filling(kind, rows, cols):
+    """A rows x cols integer matrix: zeros, an identity, an Omega pattern or ones."""
+    h = max(rows, cols) // 2
+    entry = {
+        "zeros": lambda i, j: 0,
+        "identity": lambda i, j: int(i == j),
+        "omega": lambda i, j: (j == i + h) - (i == j + h),
+        "ones": lambda i, j: 1,
+    }[kind]
+    return [[entry(i, j) for j in range(cols)] for i in range(rows)]
+
+
+def _is_number(x):
+    return isinstance(x, (int, float, str)) and not isinstance(x, bool)
+
+
+def _matrix_paths(value, path=()):
+    """The positions of the integer matrices ("entries") and float matrices in a request."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == "entries":
+                yield path + (key,)
+            else:
+                yield from _matrix_paths(item, path + (key,))
+    elif isinstance(value, list):
+        if value and all(
+            isinstance(row, list) and row and all(map(_is_number, row)) for row in value
+        ):
+            yield path
+        else:
+            for i, item in enumerate(value):
+                yield from _matrix_paths(item, path + (i,))
+
+
+@pytest.mark.parametrize("command,action", ACTIONS, ids=[f"{c}-{a}" for c, a in ACTIONS])
+def test_every_matrix_of_every_shape_answers_with_one_json_line(command, action):
+    """Each matrix of a valid request in turn, replaced by every shape and filling."""
+    request = VALID[command, action]
+    paths = list(_matrix_paths(request))
+    assert paths
+    for path in paths:
+        for rows, cols in SHAPES:
+            for kind in ("zeros", "identity", "omega", "ones"):
+                mutated = _with(request, path, _filling(kind, rows, cols))
+                code, text = _answer([command, action, "--json", json.dumps(mutated)])
+                assert code in (0, 1, 2, 3), (path, rows, cols, kind)
+                _one_json_line(text)
+
+
 def _with(request, path, value):
     request = copy.deepcopy(request)
     parent = request

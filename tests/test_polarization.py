@@ -9,6 +9,7 @@ from siegelkit.polarization import (
     FundamentalFormSample,
     SiegelPoint,
     Taming,
+    TamingReport,
     fundamental_projection,
     push_forward_taming,
     q_metric,
@@ -54,6 +55,15 @@ def test_q_metric_examples():
     om2 = standard_gram(LatticeType((2,)))
     tm2 = Taming(J0, om2, 0.0)
     assert np.array_equal(q_metric(tm2), 2 * np.eye(2))
+
+
+def test_taming_keeps_its_metric():
+    """Q = Omega @ J is stored frozen when the taming is built; q_metric reads it."""
+    rng = random.Random(5)
+    for _ in range(20):
+        tm = random_taming(rng, random_lattice_type(rng, rng.randint(1, 3)))
+        assert q_metric(tm) is tm.Q and not tm.Q.flags.writeable
+        assert np.array_equal(tm.Q, np.array(tm.omega.to_lists(), dtype=float) @ tm.J)
 
 
 def test_q_metric_from_siegel_point():
@@ -153,6 +163,14 @@ def test_fundamental_form_zero_is_unitary():
     psi = FundamentalFormSample([np.zeros((2, 2))])
     report = validate_fundamental_form(psi, tm)
     assert report.passed and report.unitary
+    assert isinstance(report, TamingReport)
+    checks = [
+        {"name": "antilinear[0]", "passed": True, "residual": 0.0},
+        {"name": "q_symmetric[0]", "passed": True, "residual": 0.0},
+    ]
+    assert list(report.as_dict().items()) == [
+        ("passed", True), ("unitary", True), ("checks", checks)
+    ]
 
 
 def test_fundamental_form_j_fails_antilinearity():

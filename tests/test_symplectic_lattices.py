@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from siegelkit.errors import DegenerateForm, DimensionMismatch, NotAntisymmetric
+from siegelkit.errors import DegenerateForm, DimensionMismatch, NotAntisymmetric, NotSymplectic
 from siegelkit.exact_linalg import (
     IntegerMatrix,
     determinant,
@@ -19,6 +19,7 @@ from siegelkit.symplectic_lattices import (
     LatticeType,
     frobenius_basis,
     lattice_isomorphism,
+    omega_type,
     sp_type_membership,
     standard_gram,
     symplectic_inverse,
@@ -50,6 +51,27 @@ def test_standard_space_examples():
     gram = standard_gram(LatticeType((1, 2)))
     assert gram == IntegerMatrix([[0, 0, 1, 0], [0, 0, 0, 2], [-1, 0, 0, 0], [0, -2, 0, 0]])
     assert type_of(IntegralSymplecticSpace(gram)) == LatticeType((1, 2))
+
+
+def test_omega_type_reads_only_omega_t():
+    for t in SWEEP_TYPES:
+        assert omega_type(standard_gram(t)) == t
+    for entries in (
+        [[0, 1], [-1, 0], [0, 0], [0, 0]],
+        [[0, 1, 0, 0], [-1, 0, 0, 0]],
+        [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+    ):
+        with pytest.raises(DimensionMismatch):
+            omega_type(IntegerMatrix(entries))
+    for entries in (
+        [[0, -1], [1, 0]],
+        [[0, 1], [1, 0]],
+        [[0, 0, 1, 1], [0, 0, 1, 3], [-1, -1, 0, 0], [-1, -3, 0, 0]],
+        [[0, 0, 2, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+    ):
+        with pytest.raises(NotSymplectic):
+            omega_type(IntegerMatrix(entries))
 
 
 def test_frobenius_standard_is_identity_effect():

@@ -161,6 +161,37 @@ def test_model_validation():
         FiniteScalarModel(2, [(0, 1)], [tm])
 
 
+@pytest.mark.parametrize(
+    "isometries,message",
+    [
+        ([], "isometry list must contain the identity"),
+        ([(1, 2, 0)], "isometry list must contain the identity"),
+        ([(0, 1, 2), (1, 2, 0)], "isometry list is not closed under inverse"),
+        ([(0, 1, 2), (1, 0, 2), (0, 2, 1)], "isometry list is not closed under composition"),
+    ],
+)
+def test_model_closure_errors_in_order(isometries, message):
+    tm = Taming(standard_taming_matrix(1), standard_gram(T1), 0.0)
+    with pytest.raises(InvalidModel) as err:
+        FiniteScalarModel(3, isometries, [tm])  # one taming short, checked last
+    assert str(err.value) == message
+
+
+def test_model_keeps_its_product_table():
+    """S_3 listed twice: a composite is named by its first index, and is looked up."""
+    perms = list(itertools.permutations(range(3)))
+    tm = Taming(standard_taming_matrix(1), standard_gram(T1), 0.0)
+    model = FiniteScalarModel(3, perms[1:] + perms, [tm] * 3)
+    assert model.identity_index == 5
+    table = {}
+    for i, p in enumerate(model.isometries):
+        for j, q in enumerate(model.isometries):
+            composed = tuple(p[q[k]] for k in range(3))
+            table[i, j] = model.isometries.index(composed)
+    object.__setattr__(model, "isometries", ())
+    assert all(model.compose_isometries(i, j) == k for (i, j), k in table.items())
+
+
 def test_single_point_stabilizer():
     """One point: the fiber product is the taming stabilizer in the box."""
     tm = Taming(standard_taming_matrix(1), standard_gram(T1), 0.0)
