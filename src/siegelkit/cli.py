@@ -12,6 +12,7 @@ globals, never through the table, so ``bench/tracing.py`` can rebind them.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -384,7 +385,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process and reused by ``main``."""
     parser = _Parser(
         prog="siegel-kit",
         description="Exact computations for integral symplectic lattices, "

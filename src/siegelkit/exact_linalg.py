@@ -20,7 +20,10 @@ built by its public constructor (rectangular, nonempty, every entry an
 matrices and ints, transpose, Kronecker products) and the Smith normal
 form outputs compute int entries from already validated ints, so they
 build their results through the private trusted constructor
-``IntegerMatrix._trusted`` and skip the per-entry checks.
+``IntegerMatrix._trusted`` and skip the per-entry checks. A value
+once built never changes: every value type of the package derives from
+``Frozen``, so assigning or deleting an attribute raises
+``AttributeError``.
 """
 
 import contextlib
@@ -51,7 +54,23 @@ def whole_integers():
         sys.set_int_max_str_digits(limit)
 
 
-class IntegerMatrix:
+class Frozen:
+    """Base of the value types: no attribute is set or deleted once built.
+
+    Constructors and trusted builders write their slots with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class IntegerMatrix(Frozen):
     """Immutable dense matrix over Z, entries stored row-major."""
 
     __slots__ = ("rows", "cols", "_entries")
@@ -82,9 +101,6 @@ class IntegerMatrix:
         m = object.__new__(cls)
         _init(m, entries)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerMatrix is immutable")
 
     @classmethod
     def identity(cls, n):
@@ -206,7 +222,7 @@ class IntegerMatrix:
             raise _dim(f"shape mismatch {self.shape()} vs {other.shape()}")
 
 
-class SnfDecomposition:
+class SnfDecomposition(Frozen):
     """Smith normal form U*A*V = S, with U and V unimodular and S diagonal.
 
     The diagonal entries are nonnegative and form a divisibility chain
@@ -219,9 +235,6 @@ class SnfDecomposition:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "V", V)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SnfDecomposition is immutable")
 
     def diagonal(self):
         return tuple(

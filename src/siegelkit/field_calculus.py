@@ -21,10 +21,13 @@ from .errors import (
     DimensionMismatch,
     InvalidFundamentalForm,
 )
-from .exact_linalg import IntegerMatrix
+from .exact_linalg import Frozen, IntegerMatrix
 from .polarization import FundamentalFormSample, Taming, _as_float, push_forward_taming
 
 INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+SCALAR_TOL = 1e-9  # symmetry (relative) and positivity of a pullback metric
+EIGEN_TOL = 1e-8  # distance from +-1 at which a polarized star eigenvalue counts
 
 # The Levi-Civita symbol: the sign of each permutation, by its inversions.
 _EPSILON = np.zeros((4, 4, 4, 4))
@@ -33,7 +36,7 @@ for _p in itertools.permutations(range(4)):
 _EPSILON.flags.writeable = False
 
 
-class PointFrame:
+class PointFrame(Frozen):
     """A Lorentzian metric sample at a point, with an orientation sign."""
 
     __slots__ = ("g", "orientation", "ginv", "sqrt_abs_det")
@@ -61,19 +64,14 @@ class PointFrame:
         object.__setattr__(self, "ginv", ginv)
         object.__setattr__(self, "sqrt_abs_det", float(np.sqrt(-det)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PointFrame is immutable")
 
-
-class FieldStrengthSample:
+class FieldStrengthSample(Frozen):
     """A two-form sample with values in the 2n-dimensional duality space."""
 
     __slots__ = ("F",)
 
     def __init__(self, F):
         Fm = np.asarray(F, dtype=float)
-        if Fm.ndim == 1:
-            Fm = Fm.reshape(6, 1)
         if Fm.ndim != 2 or Fm.shape[0] != 6:
             raise DimensionMismatch(f"field sample must be 6 x 2n, got {Fm.shape}")
         if Fm.shape[1] % 2 != 0:
@@ -81,9 +79,6 @@ class FieldStrengthSample:
         Fm = Fm.copy()
         Fm.flags.writeable = False
         object.__setattr__(self, "F", Fm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldStrengthSample is immutable")
 
     @property
     def n(self):
@@ -93,19 +88,22 @@ class FieldStrengthSample:
         return float(np.linalg.norm(self.F))
 
 
-class ScalarSectorSample:
-    """Supplied scalar-sector data: pullback metric and optional left sides."""
+class ScalarSectorSample(Frozen):
+    """Supplied scalar-sector data: pullback metric s*G and optional Einstein left side.
 
-    __slots__ = ("pullback_metric", "einstein_lhs", "scalar_lhs")
+    s*G must be symmetric and positive semidefinite up to SCALAR_TOL.
+    """
 
-    def __init__(self, pullback_metric, einstein_lhs=None, scalar_lhs=None, tol=1e-9):
+    __slots__ = ("pullback_metric", "einstein_lhs")
+
+    def __init__(self, pullback_metric, einstein_lhs=None):
         pm = np.asarray(pullback_metric, dtype=float)
         if pm.shape != (4, 4):
             raise DimensionMismatch("pullback metric must be 4x4")
-        if np.max(np.abs(pm - pm.T)) > tol * max(1.0, np.max(np.abs(pm))):
+        if np.max(np.abs(pm - pm.T)) > SCALAR_TOL * max(1.0, np.max(np.abs(pm))):
             raise DimensionMismatch("pullback metric must be symmetric")
-        pm = (pm + pm.T) / 2.0
-        if float(np.min(np.linalg.eigvalsh(pm))) < -tol:
+        pm = pm / 2.0 + pm.T / 2.0  # halved first, so no finite sum overflows
+        if float(np.min(np.linalg.eigvalsh(pm))) < -SCALAR_TOL:
             raise ValueError("pullback metric must be positive semidefinite")
         pm.flags.writeable = False
         object.__setattr__(self, "pullback_metric", pm)
@@ -116,12 +114,6 @@ class ScalarSectorSample:
             el.flags.writeable = False
             einstein_lhs = el
         object.__setattr__(self, "einstein_lhs", einstein_lhs)
-        if scalar_lhs is not None:
-            scalar_lhs = tuple(float(x) for x in scalar_lhs)
-        object.__setattr__(self, "scalar_lhs", scalar_lhs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarSectorSample is immutable")
 
 
 def unpack_two_form(column) -> np.ndarray:
@@ -158,7 +150,7 @@ def hodge_star_matrix(frame: PointFrame) -> np.ndarray:
     return S
 
 
-class PolarizedStar:
+class PolarizedStar(Frozen):
     """The involution star_g tensor J acting on field strength samples."""
 
     __slots__ = ("star6", "J", "frame", "taming")
@@ -168,9 +160,6 @@ class PolarizedStar:
         object.__setattr__(self, "J", taming.J)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "taming", taming)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolarizedStar is immutable")
 
     def __call__(self, sample: FieldStrengthSample) -> FieldStrengthSample:
         F = sample.F
@@ -184,11 +173,11 @@ class PolarizedStar:
         """The operator on vectorized samples (kron of J with the star matrix)."""
         return np.kron(self.J, self.star6)
 
-    def eigenspace_dimensions(self, tol: float = 1e-8):
+    def eigenspace_dimensions(self):
         """Dimensions of the +1 and -1 eigenspaces of the involution."""
         eigs = np.linalg.eigvals(self.as_matrix())
-        plus = int(np.sum(np.abs(eigs - 1.0) < tol))
-        minus = int(np.sum(np.abs(eigs + 1.0) < tol))
+        plus = int(np.sum(np.abs(eigs - 1.0) < EIGEN_TOL))
+        minus = int(np.sum(np.abs(eigs + 1.0) < EIGEN_TOL))
         return plus, minus
 
 
@@ -266,24 +255,17 @@ def einstein_rhs(
     sample: FieldStrengthSample,
     frame: PointFrame,
     Q,
-    scalar,
+    scalar: ScalarSectorSample,
 ):
     """Right hand side of the Einstein equation at a point.
 
-    RHS = (1/2) Tr_g(s*G) g - s*G + 2 F (.)_Q F. The scalar argument is
-    a ScalarSectorSample, or a bare symmetric 4x4 matrix for formal
-    inputs that skip the positivity gate. Returns (rhs, residual) where
-    residual is the max-abs difference against the supplied left hand
-    side, or None when no left side was given.
+    RHS = (1/2) Tr_g(s*G) g - s*G + 2 F (.)_Q F, with s*G the pullback
+    metric of the validated ScalarSectorSample. Returns (rhs, residual)
+    where residual is the max-abs difference against the sample's
+    Einstein left side, or None when it has none.
     """
-    if isinstance(scalar, ScalarSectorSample):
-        sg = scalar.pullback_metric
-        lhs = scalar.einstein_lhs
-    else:
-        sg = np.asarray(scalar, dtype=float)
-        if sg.shape != (4, 4):
-            raise DimensionMismatch("scalar pullback sample must be 4x4")
-        lhs = None
+    sg = scalar.pullback_metric
+    lhs = scalar.einstein_lhs
     rhs = 0.5 * trace_g(frame, sg) * frame.g - sg
     rhs = rhs + 2.0 * inner_contraction(sample, sample, frame, Q)
     residual = None

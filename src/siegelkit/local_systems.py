@@ -43,6 +43,7 @@ from operator import mul
 
 from .errors import DimensionMismatch, InvalidComplex, NotACocycle
 from .exact_linalg import (
+    Frozen,
     IntegerMatrix,
     inverse_unimodular,
     kernel_lattice,
@@ -52,7 +53,7 @@ from .exact_linalg import (
 from .symplectic_lattices import LatticeType, sp_type_membership
 
 
-class TwistedComplex:
+class TwistedComplex(Frozen):
     """Finite CW data with symplectic transports on 1-cells."""
 
     __slots__ = ("cells", "boundaries", "transports", "type", "words", "_checked")
@@ -101,9 +102,6 @@ class TwistedComplex:
         # (report, differentials, charge system), filled on first use by
         # _differentials and _charge_system.
         object.__setattr__(self, "_checked", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedComplex is immutable")
 
     @property
     def dimension(self):
@@ -374,7 +372,7 @@ def _differentials(c: TwistedComplex):
     return diffs
 
 
-class CohomologyResult:
+class CohomologyResult(Frozen):
     """Free rank, torsion chain and integral cocycle representatives."""
 
     __slots__ = ("degree", "free_rank", "torsion", "free_basis")
@@ -384,9 +382,6 @@ class CohomologyResult:
         object.__setattr__(self, "free_rank", int(free_rank))
         object.__setattr__(self, "torsion", tuple(int(t) for t in torsion))
         object.__setattr__(self, "free_basis", tuple(tuple(v) for v in free_basis))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CohomologyResult is immutable")
 
     def group_description(self):
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]
@@ -443,7 +438,7 @@ def twisted_cohomology(c: TwistedComplex, k: int) -> CohomologyResult:
     return _cohomology(c, k)[0]
 
 
-class ChargeClass:
+class ChargeClass(Frozen):
     """A rational twisted 2-cochain, stored in units of 2 pi."""
 
     __slots__ = ("coefficients",)
@@ -453,9 +448,6 @@ class ChargeClass:
             self, "coefficients", tuple(Fraction(x) for x in coefficients)
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ChargeClass is immutable")
-
     def __add__(self, other):
         if len(self.coefficients) != len(other.coefficients):
             raise DimensionMismatch("charge classes have different lengths")
@@ -464,7 +456,7 @@ class ChargeClass:
         )
 
 
-class DszVerdict:
+class DszVerdict(Frozen):
     """Outcome of the integrality test, with coordinates when integral."""
 
     __slots__ = ("integral", "coordinates")
@@ -476,9 +468,6 @@ class DszVerdict:
             "coordinates",
             None if coordinates is None else tuple(int(x) for x in coordinates),
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DszVerdict is immutable")
 
     def as_dict(self):
         return {

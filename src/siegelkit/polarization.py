@@ -6,7 +6,7 @@ Conventions, fixed once and validated by the test suite:
   metric of a taming J is Q = Omega @ J, computed once when the Taming
   is built and read from it afterwards (Taming.Q, q_metric);
 * positivity means Q symmetric positive definite, i.e. omega(xi, J xi) > 0
-  for nonzero xi (see POSITIVITY_CONVENTION);
+  for nonzero xi;
 * the taming built from a Siegel upper half space point Z = X + iY uses
   the period normal form (Z, T): its -i eigenspace on the
   complexification is the graph of -T^{-1} conj(Z). There omega must be
@@ -27,10 +27,8 @@ from .errors import (
     NotSymplectic,
     ParseError,
 )
-from .exact_linalg import IntegerMatrix, rational_solve_many
+from .exact_linalg import Frozen, IntegerMatrix, rational_solve_many
 from .symplectic_lattices import omega_type
-
-POSITIVITY_CONVENTION = "omega(xi, J xi) > 0, i.e. Q = Omega @ J positive definite"
 
 DEFAULT_TOL = 1e-10
 
@@ -134,7 +132,7 @@ def validate_taming(J, omega, tol: float = DEFAULT_TOL) -> TamingReport:
     )
 
 
-class Taming:
+class Taming(Frozen):
     """A validated compatible positive complex structure on (R^{2n}, omega).
 
     The metric Q = Omega @ J is computed once, when the taming is built,
@@ -161,9 +159,6 @@ class Taming:
         object.__setattr__(self, "tol", float(tol))
         object.__setattr__(self, "Q", Q)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Taming is immutable")
-
     @property
     def n(self):
         return self.J.shape[0] // 2
@@ -174,17 +169,17 @@ def q_metric(taming: Taming) -> np.ndarray:
     return taming.Q
 
 
-class SiegelPoint:
+class SiegelPoint(Frozen):
     """A point Z = X + iY of the Siegel upper half space (X, Y symmetric, Y > 0)."""
 
     __slots__ = ("X", "Y")
 
-    def __init__(self, X, Y, tol: float = DEFAULT_TOL):
+    def __init__(self, X, Y):
         Xm = _as_float(X)
         Ym = _as_float(Y)
         if Xm.shape != Ym.shape or Xm.shape[0] != Xm.shape[1]:
             raise DimensionMismatch("X and Y must be square of equal size")
-        if np.max(np.abs(Xm - Xm.T)) > tol or np.max(np.abs(Ym - Ym.T)) > tol:
+        if max(np.max(np.abs(Xm - Xm.T)), np.max(np.abs(Ym - Ym.T))) > DEFAULT_TOL:
             raise DimensionMismatch("X and Y must be symmetric")
         if float(np.min(np.linalg.eigvalsh(Ym / 2.0 + Ym.T / 2.0))) <= 0.0:
             raise NonPositiveY("imaginary part Y must be positive definite")
@@ -192,9 +187,6 @@ class SiegelPoint:
         Ym.flags.writeable = False
         object.__setattr__(self, "X", Xm)
         object.__setattr__(self, "Y", Ym)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SiegelPoint is immutable")
 
     @property
     def n(self):
@@ -251,7 +243,7 @@ def push_forward_taming(gamma: IntegerMatrix, taming: Taming) -> Taming:
     return Taming(J, om, tol=max(taming.tol, DEFAULT_TOL) * cond * cond)
 
 
-class FundamentalFormSample:
+class FundamentalFormSample(Frozen):
     """Sampled fundamental form: one endomorphism per vertical direction."""
 
     __slots__ = ("components",)
@@ -270,9 +262,6 @@ class FundamentalFormSample:
             m.flags.writeable = False
             comps.append(m)
         object.__setattr__(self, "components", tuple(comps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FundamentalFormSample is immutable")
 
     @property
     def count(self):

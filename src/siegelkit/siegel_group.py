@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotSymplectic, TypeMismatch
-from .exact_linalg import IntegerMatrix
+from .exact_linalg import Frozen, IntegerMatrix
 from .symplectic_lattices import LatticeType, sp_type_membership, symplectic_inverse
 
 
@@ -35,7 +35,7 @@ def reduce_mod_lattice(coords):
     return tuple(Fraction(x) % 1 for x in coords)
 
 
-class TorusPoint:
+class TorusPoint(Frozen):
     """A point of the symplectic torus in reduced lattice-basis coordinates."""
 
     __slots__ = ("coords", "type")
@@ -48,9 +48,6 @@ class TorusPoint:
             )
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "type", type)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusPoint is immutable")
 
     def __eq__(self, other):
         return (
@@ -66,7 +63,7 @@ class TorusPoint:
         return f"TorusPoint({[str(c) for c in self.coords]}, t={list(self.type.entries)})"
 
 
-class AffineSymplectomorphism:
+class AffineSymplectomorphism(Frozen):
     """An element (a, gamma) of the affine Siegel group of type t."""
 
     __slots__ = ("_num", "_den", "rotation", "type")
@@ -85,9 +82,6 @@ class AffineSymplectomorphism:
         den = lcm(*(c.denominator for c in translation))
         num = tuple(c.numerator * (den // c.denominator) for c in translation)
         _init(self, num, den, rotation, type)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSymplectomorphism is immutable")
 
     @classmethod
     def _trusted(cls, num, den, rotation: IntegerMatrix, type: LatticeType):

@@ -18,14 +18,10 @@ from .errors import (
     NotAntisymmetric,
     NotSymplectic,
 )
-from .exact_linalg import (
-    IntegerMatrix,
-    determinant,
-    inverse_unimodular,
-)
+from .exact_linalg import Frozen, IntegerMatrix, determinant, inverse_unimodular
 
 
-class LatticeType:
+class LatticeType(Frozen):
     """A divisor chain (t_1, ..., t_n) with t_i > 0 and t_i | t_{i+1}."""
 
     __slots__ = ("entries",)
@@ -40,9 +36,6 @@ class LatticeType:
             if b % a != 0:
                 raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeType is immutable")
 
     @property
     def n(self):
@@ -92,7 +85,7 @@ def omega_type(omega: IntegerMatrix) -> LatticeType:
     return t
 
 
-class IntegralSymplecticSpace:
+class IntegralSymplecticSpace(Frozen):
     """A lattice together with the Gram matrix of its symplectic pairing."""
 
     __slots__ = ("n", "gram")
@@ -107,9 +100,6 @@ class IntegralSymplecticSpace:
         object.__setattr__(self, "n", gram.rows // 2)
         object.__setattr__(self, "gram", gram)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegralSymplecticSpace is immutable")
-
     def __eq__(self, other):
         return (
             isinstance(other, IntegralSymplecticSpace) and self.gram == other.gram
@@ -119,7 +109,7 @@ class IntegralSymplecticSpace:
         return f"IntegralSymplecticSpace(gram={self.gram.to_lists()!r})"
 
 
-class FrobeniusBasis:
+class FrobeniusBasis(Frozen):
     """A unimodular change of basis P with P^T G P = [[0, T], [-T, 0]]."""
 
     __slots__ = ("change_of_basis", "type")
@@ -127,9 +117,6 @@ class FrobeniusBasis:
     def __init__(self, change_of_basis: IntegerMatrix, type: LatticeType):
         object.__setattr__(self, "change_of_basis", change_of_basis)
         object.__setattr__(self, "type", type)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrobeniusBasis is immutable")
 
 
 def frobenius_basis(space: IntegralSymplecticSpace) -> FrobeniusBasis:

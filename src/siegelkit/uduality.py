@@ -53,7 +53,7 @@ from .errors import (
     ParseError,
     TypeMismatch,
 )
-from .exact_linalg import IntegerMatrix, kernel_lattice, left_inverse, whole_integers
+from .exact_linalg import Frozen, IntegerMatrix, kernel_lattice, left_inverse, whole_integers
 from .polarization import Taming
 from .siegel_group import reduce_mod_lattice
 from .symplectic_lattices import (
@@ -87,7 +87,7 @@ def search_budget(budget=None) -> int:
     return budget
 
 
-class HolonomySubgroup:
+class HolonomySubgroup(Frozen):
     """A finitely generated subgroup of the Siegel modular group of type t."""
 
     __slots__ = ("generators", "type")
@@ -101,9 +101,6 @@ class HolonomySubgroup:
                 )
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "type", type)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HolonomySubgroup is immutable")
 
     @property
     def size(self):
@@ -300,7 +297,7 @@ def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
     return out
 
 
-class FiniteScalarModel:
+class FiniteScalarModel(Frozen):
     """A finite point set with a finite isometry group and a taming per point.
 
     The closure check builds the product table of the isometries, and
@@ -358,15 +355,12 @@ class FiniteScalarModel:
         object.__setattr__(self, "identity_index", identity)
         object.__setattr__(self, "_products", tuple(products))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteScalarModel is immutable")
-
     def compose_isometries(self, i: int, j: int) -> int:
         """Index of isometry i composed after isometry j."""
         return self._products[i][j]
 
 
-class UDualityElement:
+class UDualityElement(Frozen):
     """A gauge duality element (isometry index, rotation, optional torus part)."""
 
     __slots__ = ("isometry", "rotation", "torus")
@@ -379,9 +373,6 @@ class UDualityElement:
         object.__setattr__(self, "isometry", int(isometry))
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "torus", torus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UDualityElement is immutable")
 
     def __eq__(self, other):
         return (

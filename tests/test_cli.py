@@ -185,6 +185,25 @@ def test_shape_mismatch_exit_one(capsys):
     assert json.loads(out)["kind"] == "DimensionMismatch"
 
 
+def test_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["lattice", "type", "--json", '{"gram": {"entries": [["0", "2"], ["-2", "0"]]}}']
+    assert cli.main(argv) == cli.main(argv) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second == '{"t": [2]}'
+
+
+@pytest.mark.parametrize("size", [6, 12])
+def test_flat_field_sample_exit_one(size, capsys):
+    payload = {**_FIELD, "F_sample": {"F": [0.5] * size}}
+    assert cli.main(["field", "project", "--json", json.dumps(payload)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "error": f"bad field sample in field sample: field sample must be 6 x 2n, got ({size},)"
+    }
+
+
 def test_cohomology_compute_subcommand():
     c = two_sphere_complex(LatticeType((1,)))
     proc = run_cli(["cohomology", "compute"], {"complex": jsonio.encode_complex(c)})

@@ -1,11 +1,16 @@
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import siegelkit
 from siegelkit.errors import DimensionMismatch, NotUnimodular
 from siegelkit.exact_linalg import (
+    Frozen,
     IntegerMatrix,
     determinant,
     inverse_unimodular,
@@ -16,7 +21,34 @@ from siegelkit.exact_linalg import (
     rational_solve_many,
     smith_normal_form,
 )
+from siegelkit.field_calculus import (
+    FieldStrengthSample,
+    PointFrame,
+    PolarizedStar,
+    ScalarSectorSample,
+)
+from siegelkit.local_systems import (
+    ChargeClass,
+    charge_lattice_basis,
+    dsz_check,
+    twisted_cohomology,
+    two_sphere_complex,
+)
+from siegelkit.polarization import (
+    FundamentalFormSample,
+    SiegelPoint,
+    Taming,
+    standard_taming_matrix,
+)
 from siegelkit.sampling import random_unimodular
+from siegelkit.siegel_group import AffineSymplectomorphism, TorusPoint
+from siegelkit.symplectic_lattices import (
+    IntegralSymplecticSpace,
+    LatticeType,
+    frobenius_basis,
+    standard_gram,
+)
+from siegelkit.uduality import FiniteScalarModel, HolonomySubgroup, UDualityElement
 
 
 def test_snf_zero_matrix():
@@ -227,6 +259,105 @@ def test_immutability():
     A = IntegerMatrix([[1]])
     with pytest.raises(AttributeError):
         A.rows = 2
+
+
+VALUE_TYPES = (
+    "IntegerMatrix",
+    "SnfDecomposition",
+    "LatticeType",
+    "IntegralSymplecticSpace",
+    "FrobeniusBasis",
+    "TorusPoint",
+    "AffineSymplectomorphism",
+    "Taming",
+    "SiegelPoint",
+    "FundamentalFormSample",
+    "PointFrame",
+    "FieldStrengthSample",
+    "ScalarSectorSample",
+    "PolarizedStar",
+    "TwistedComplex",
+    "CohomologyResult",
+    "ChargeClass",
+    "DszVerdict",
+    "HolonomySubgroup",
+    "FiniteScalarModel",
+    "UDualityElement",
+)
+
+
+def _value_types():
+    """One instance of every value type of the package, keyed by class name."""
+    t = LatticeType((1,))
+    gram = standard_gram(t)
+    taming = Taming(standard_taming_matrix(1), gram, 0.0)
+    frame = PointFrame(np.diag([-1.0, 1.0, 1.0, 1.0]))
+    sphere = two_sphere_complex(t)
+    charge = ChargeClass(charge_lattice_basis(sphere)[0])
+    model = FiniteScalarModel(1, [[0]], [taming])
+    space = IntegralSymplecticSpace(gram)
+    values = [
+        IntegerMatrix([[1]]),
+        smith_normal_form(IntegerMatrix([[2]])),
+        t,
+        space,
+        frobenius_basis(space),
+        TorusPoint(["1/2", "0"], t),
+        AffineSymplectomorphism(["1/2", "0"], IntegerMatrix.identity(2), t),
+        taming,
+        SiegelPoint(np.zeros((1, 1)), np.eye(1)),
+        FundamentalFormSample([np.zeros((2, 2))]),
+        frame,
+        FieldStrengthSample(np.zeros((6, 2))),
+        ScalarSectorSample(np.zeros((4, 4))),
+        PolarizedStar(frame, taming),
+        sphere,
+        twisted_cohomology(sphere, 2),
+        charge,
+        dsz_check(charge, sphere),
+        HolonomySubgroup([IntegerMatrix.identity(2)], t),
+        model,
+        UDualityElement(0, IntegerMatrix.identity(2)),
+    ]
+    return {type(v).__name__: v for v in values}
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(siegelkit.__path__):
+        module = importlib.import_module(f"siegelkit.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                yield cls
+
+
+def test_value_types_are_every_frozen_class():
+    frozen = {c.__name__ for c in _package_classes() if issubclass(c, Frozen)}
+    assert frozen == {"Frozen", *VALUE_TYPES}
+    assert list(_value_types()) == list(VALUE_TYPES)
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_refuse_assignment_and_deletion(name):
+    value = _value_types()[name]
+    slot = type(value).__slots__[0]
+    before = getattr(value, slot)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(value, slot, None)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        delattr(value, slot)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        value.extra = 1
+    assert getattr(value, slot) is before
+
+
+def test_only_the_base_guards_attributes():
+    """No class of the package but Frozen defines __setattr__ or __delattr__."""
+    guards = {
+        cls.__name__
+        for cls in _package_classes()
+        if "__setattr__" in vars(cls) or "__delattr__" in vars(cls)
+    }
+    assert guards == {"Frozen"}
 
 
 def test_generator_input_is_validated():

@@ -93,6 +93,20 @@ def test_bad_signature_rejected():
         PointFrame(np.eye(3))
 
 
+@pytest.mark.parametrize("size", [6, 12])
+def test_flat_field_sample_is_a_dimension_mismatch(size):
+    message = rf"^field sample must be 6 x 2n, got \({size},\)$"
+    with pytest.raises(DimensionMismatch, match=message):
+        FieldStrengthSample(np.ones(size))
+
+
+def test_scalar_sample_near_the_float_range():
+    """The metric is symmetrized halved first, so no finite sum overflows."""
+    sample = ScalarSectorSample(np.diag([1e308, 1e308, 1.0, 1.0]))
+    assert np.array_equal(sample.pullback_metric, np.diag([1e308, 1e308, 1.0, 1.0]))
+    assert sample.einstein_lhs is None
+
+
 def _standard_pair(n=1):
     t = LatticeType.principal(n)
     return Taming(standard_taming_matrix(n), standard_gram(t), 0.0)
@@ -214,9 +228,9 @@ def test_einstein_rhs_examples():
     rhs, residual = einstein_rhs(zeroF, MINKOWSKI, Q, ScalarSectorSample(np.zeros((4, 4))))
     assert np.array_equal(rhs, np.zeros((4, 4)))
     assert residual is None
-    # formal input s*G = g gives (1/2) Tr_g(g) g - g = g
-    rhs2, _ = einstein_rhs(zeroF, MINKOWSKI, Q, MINKOWSKI.g)
-    assert np.allclose(rhs2, MINKOWSKI.g)
+    # s*G = I gives (1/2) Tr_g(I) g - I = g - I, since Tr_g(I) = -1 + 3 = 2
+    rhs2, _ = einstein_rhs(zeroF, MINKOWSKI, Q, ScalarSectorSample(np.eye(4)))
+    assert np.allclose(rhs2, MINKOWSKI.g - np.eye(4))
     # supplied left side reports a residual
     sample = ScalarSectorSample(np.zeros((4, 4)), einstein_lhs=np.zeros((4, 4)))
     _, residual3 = einstein_rhs(zeroF, MINKOWSKI, Q, sample)

@@ -3,9 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from siegelkit.errors import InvalidTaming, NonPositiveY, NotSymplectic
+from siegelkit.errors import DimensionMismatch, InvalidTaming, NonPositiveY, NotSymplectic
 from siegelkit.exact_linalg import IntegerMatrix
 from siegelkit.polarization import (
+    DEFAULT_TOL,
     FundamentalFormSample,
     SiegelPoint,
     Taming,
@@ -107,6 +108,17 @@ def test_siegel_point_validation():
         SiegelPoint(np.zeros((1, 1)), -np.eye(1))
     with pytest.raises(InvalidTaming):
         Taming(np.eye(2), OM1, 0.0)
+
+
+def test_siegel_point_symmetry_tolerance():
+    """X and Y are symmetric up to DEFAULT_TOL, absolute."""
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    SiegelPoint(DEFAULT_TOL / 2 * skew, np.eye(2))
+    SiegelPoint(np.zeros((2, 2)), np.eye(2) + DEFAULT_TOL / 2 * skew)
+    with pytest.raises(DimensionMismatch, match="symmetric"):
+        SiegelPoint(2 * DEFAULT_TOL * skew, np.eye(2))
+    with pytest.raises(DimensionMismatch, match="symmetric"):
+        SiegelPoint(np.zeros((2, 2)), np.eye(2) + 2 * DEFAULT_TOL * skew)
 
 
 def test_thousand_siegel_points_never_fail():
