@@ -66,7 +66,6 @@ from .polarization import (
     Taming,
     fundamental_projection,
     push_forward_taming,
-    q_metric,
     standard_taming_matrix,
     taming_from_siegel_point,
     validate_fundamental_form,

@@ -40,7 +40,6 @@ from .local_systems import (
 from .polarization import (
     DEFAULT_TOL,
     push_forward_taming,
-    q_metric,
     taming_from_siegel_point,
     validate_taming,
 )
@@ -53,6 +52,7 @@ from .symplectic_lattices import (
     type_of,
 )
 from .uduality import (
+    DEFAULT_BUDGET,
     adjoint_map,
     centralizer_enumerate,
     closure_within_box,
@@ -172,7 +172,7 @@ def _taming_from_siegel(data, args):
     omega = jsonio.decode_integer_matrix(omega)
     tm = taming_from_siegel_point(Z, omega)
     out = jsonio.encode_taming(tm)
-    out["Q"] = jsonio.encode_float_matrix(q_metric(tm))
+    out["Q"] = jsonio.encode_float_matrix(tm.Q)
     return out
 
 
@@ -209,7 +209,7 @@ def _field_residual(data, args):
 
 def _field_stress(data, args):
     frame, taming, sample = _field_inputs(data, args, "stress request")
-    stress = inner_contraction(sample, sample, frame, q_metric(taming))
+    stress = inner_contraction(sample, sample, frame, taming)
     return {"stress": jsonio.encode_float_matrix(stress)}
 
 
@@ -220,7 +220,7 @@ def _field_scalar_rhs(data, args):
     lhs = data.get("scalar_lhs")
     if lhs is not None:
         lhs = jsonio.decode_float_vector(lhs, "scalar-rhs request")
-    values, residuals = scalar_rhs(sample, frame, q_metric(taming), psi, lhs)
+    values, residuals = scalar_rhs(sample, frame, taming, psi, lhs)
     payload = {"values": [float(v) for v in values]}
     if residuals is not None:
         payload["residuals"] = [float(r) for r in residuals]
@@ -281,8 +281,11 @@ def _cohomology_dsz(data, args):
 
 
 def _bound(args):
+    """The enumeration bound, once --bound and --budget are both checked."""
     if args.bound < 1:
         raise ParseError("bound must be at least 1")
+    if args.budget < 1:
+        raise ParseError(f"budget must be positive, got {args.budget}")
     return args.bound
 
 
@@ -413,7 +416,7 @@ def build_parser():
             p.add_argument("--degree", type=int, default=None)
         if name == "uduality":
             p.add_argument("--bound", type=int, default=2)
-            p.add_argument("--budget", type=int, default=None)
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.set_defaults(func=_run)
 
     p = sub.add_parser("selftest")

@@ -38,7 +38,7 @@ class NotSymplectic(SiegelKitError):
 
 
 class BadSignature(SiegelKitError):
-    """A point metric is not Lorentzian of signature (-,+,+,+)."""
+    """A point metric is not of signature (-,+,+,+), or a pullback metric not semidefinite."""
 
 
 class InvalidFundamentalForm(SiegelKitError):

@@ -80,10 +80,6 @@ class FieldStrengthSample(Frozen):
         Fm.flags.writeable = False
         object.__setattr__(self, "F", Fm)
 
-    @property
-    def n(self):
-        return self.F.shape[1] // 2
-
     def norm(self):
         return float(np.linalg.norm(self.F))
 
@@ -104,7 +100,7 @@ class ScalarSectorSample(Frozen):
             raise DimensionMismatch("pullback metric must be symmetric")
         pm = pm / 2.0 + pm.T / 2.0  # halved first, so no finite sum overflows
         if float(np.min(np.linalg.eigvalsh(pm))) < -SCALAR_TOL:
-            raise ValueError("pullback metric must be positive semidefinite")
+            raise BadSignature("pullback metric must be positive semidefinite")
         pm.flags.writeable = False
         object.__setattr__(self, "pullback_metric", pm)
         if einstein_lhs is not None:
@@ -153,13 +149,11 @@ def hodge_star_matrix(frame: PointFrame) -> np.ndarray:
 class PolarizedStar(Frozen):
     """The involution star_g tensor J acting on field strength samples."""
 
-    __slots__ = ("star6", "J", "frame", "taming")
+    __slots__ = ("star6", "J")
 
     def __init__(self, frame: PointFrame, taming: Taming):
         object.__setattr__(self, "star6", hodge_star_matrix(frame))
         object.__setattr__(self, "J", taming.J)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "taming", taming)
 
     def __call__(self, sample: FieldStrengthSample) -> FieldStrengthSample:
         F = sample.F
@@ -204,25 +198,24 @@ def maxwell_residual(
     return float(np.sqrt(max(0.0, float(np.trace(D @ taming.Q @ D.T)))))
 
 
-def _check_q(Q, width):
-    Qm = np.asarray(Q, dtype=float)
-    if Qm.shape != (width, width):
-        raise DimensionMismatch(
-            f"Q has shape {Qm.shape}, sample width is {width}"
-        )
-    return Qm
+def _metric(taming: Taming, width):
+    """The taming's metric Q, refused unless it matches the sample width."""
+    Q = taming.Q
+    if Q.shape != (width, width):
+        raise DimensionMismatch(f"Q has shape {Q.shape}, sample width is {width}")
+    return Q
 
 
 def inner_contraction(
-    F1: FieldStrengthSample, F2: FieldStrengthSample, frame: PointFrame, Q
+    F1: FieldStrengthSample, F2: FieldStrengthSample, frame: PointFrame, taming: Taming
 ) -> np.ndarray:
-    """The Q-twisted inner contraction (F1 (.) F2)_{mn} = Q_ab F1^a_{mx} g^{xy} F2^b_{ny}."""
+    """(F1 (.) F2)_{mn} = Q_ab F1^a_{mx} g^{xy} F2^b_{ny}, with Q the taming's metric."""
     if F1.F.shape != F2.F.shape:
         raise DimensionMismatch("samples have different shapes")
-    Qm = _check_q(Q, F1.F.shape[1])
+    Q = _metric(taming, F1.F.shape[1])
     s1 = _unpack_stack(F1.F)
     s2 = _unpack_stack(F2.F)
-    return np.einsum("ab,amx,xy,bny->mn", Qm, s1, frame.ginv, s2)
+    return np.einsum("ab,amx,xy,bny->mn", Q, s1, frame.ginv, s2)
 
 
 def _pairing(F1, F2, frame: PointFrame, Q) -> float:
@@ -235,15 +228,15 @@ def _pairing(F1, F2, frame: PointFrame, Q) -> float:
 
 
 def twisted_pairing(
-    F1: FieldStrengthSample, F2: FieldStrengthSample, frame: PointFrame, Q
+    F1: FieldStrengthSample, F2: FieldStrengthSample, frame: PointFrame, taming: Taming
 ) -> float:
     """Q-weighted pairing of two-form samples: sum_ab Q_ab (F1^a, F2^b)_g.
 
-    The two-form metric is (a, b)_g = (1/2) a_{mn} g^{mr} g^{ns} b_{rs}.
+    Q is the taming's metric; (a, b)_g = (1/2) a_{mn} g^{mr} g^{ns} b_{rs}.
     """
     if F1.F.shape != F2.F.shape:
         raise DimensionMismatch("samples have different shapes")
-    return _pairing(F1.F, F2.F, frame, _check_q(Q, F1.F.shape[1]))
+    return _pairing(F1.F, F2.F, frame, _metric(taming, F1.F.shape[1]))
 
 
 def trace_g(frame: PointFrame, h) -> float:
@@ -254,7 +247,7 @@ def trace_g(frame: PointFrame, h) -> float:
 def einstein_rhs(
     sample: FieldStrengthSample,
     frame: PointFrame,
-    Q,
+    taming: Taming,
     scalar: ScalarSectorSample,
 ):
     """Right hand side of the Einstein equation at a point.
@@ -267,7 +260,7 @@ def einstein_rhs(
     sg = scalar.pullback_metric
     lhs = scalar.einstein_lhs
     rhs = 0.5 * trace_g(frame, sg) * frame.g - sg
-    rhs = rhs + 2.0 * inner_contraction(sample, sample, frame, Q)
+    rhs = rhs + 2.0 * inner_contraction(sample, sample, frame, taming)
     residual = None
     if lhs is not None:
         residual = float(np.max(np.abs(lhs - rhs)))
@@ -277,7 +270,7 @@ def einstein_rhs(
 def scalar_rhs(
     sample: FieldStrengthSample,
     frame: PointFrame,
-    Q,
+    taming: Taming,
     psi: FundamentalFormSample,
     lhs=None,
 ):
@@ -288,7 +281,7 @@ def scalar_rhs(
     sample is supplied, the per-direction residuals are returned as well.
     """
     width = sample.F.shape[1]
-    Qm = _check_q(Q, width)
+    Q = _metric(taming, width)
     for k, P in enumerate(psi.components):
         if P.shape != (width, width):
             raise InvalidFundamentalForm(
@@ -296,7 +289,7 @@ def scalar_rhs(
             )
     starF = hodge_star_matrix(frame) @ sample.F
     values = tuple(
-        0.5 * _pairing(starF, sample.F @ P.T, frame, Qm) for P in psi.components
+        0.5 * _pairing(starF, sample.F @ P.T, frame, Q) for P in psi.components
     )
     if lhs is None:
         return values, None

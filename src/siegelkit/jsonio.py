@@ -220,10 +220,7 @@ def encode_torus_point(p: TorusPoint) -> dict:
 def decode_torus_point(obj, where="torus point") -> TorusPoint:
     t = decode_lattice_type(_need(obj, "t", where), where)
     coords = decode_rational_vector(_need(obj, "coords", where), where)
-    try:
-        return TorusPoint(coords, t)
-    except Exception as exc:
-        raise ParseError(f"bad torus point in {where}: {exc}") from None
+    return TorusPoint(coords, t)
 
 
 def encode_taming(tm: Taming) -> dict:
@@ -258,11 +255,7 @@ def decode_frame(obj, where="frame") -> PointFrame:
 
 
 def decode_field_sample(obj, where="field sample") -> FieldStrengthSample:
-    F = decode_float_matrix(_need(obj, "F", where), where)
-    try:
-        return FieldStrengthSample(F)
-    except Exception as exc:
-        raise ParseError(f"bad field sample in {where}: {exc}") from None
+    return FieldStrengthSample(decode_float_matrix(_need(obj, "F", where), where))
 
 
 def encode_field_sample(sample: FieldStrengthSample) -> dict:

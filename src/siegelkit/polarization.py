@@ -4,7 +4,9 @@ Conventions, fixed once and validated by the test suite:
 
 * the Gram matrix of the symplectic pairing enters on the left, so the
   metric of a taming J is Q = Omega @ J, computed once when the Taming
-  is built and read from it afterwards (Taming.Q, q_metric);
+  is built and read from it afterwards (Taming.Q): the field equations,
+  the fundamental-form checks and the fiber product's norm filter take
+  the validated Taming, never a bare Q;
 * positivity means Q symmetric positive definite, i.e. omega(xi, J xi) > 0
   for nonzero xi;
 * the taming built from a Siegel upper half space point Z = X + iY uses
@@ -164,11 +166,6 @@ class Taming(Frozen):
         return self.J.shape[0] // 2
 
 
-def q_metric(taming: Taming) -> np.ndarray:
-    """The metric Q = Omega @ J, symmetric positive definite since the Taming is valid."""
-    return taming.Q
-
-
 class SiegelPoint(Frozen):
     """A point Z = X + iY of the Siegel upper half space (X, Y symmetric, Y > 0)."""
 
@@ -263,12 +260,8 @@ class FundamentalFormSample(Frozen):
             comps.append(m)
         object.__setattr__(self, "components", tuple(comps))
 
-    @property
-    def count(self):
-        return len(self.components)
-
-    def is_zero(self, tol=0.0):
-        return all(np.max(np.abs(c)) <= tol for c in self.components)
+    def is_zero(self):
+        return not any(np.any(c) for c in self.components)
 
 
 class FundamentalFormReport(TamingReport):

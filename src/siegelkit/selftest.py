@@ -47,7 +47,6 @@ from .polarization import (
     FundamentalFormSample,
     Taming,
     push_forward_taming,
-    q_metric,
     standard_taming_matrix,
     validate_taming,
 )
@@ -157,7 +156,7 @@ def _check_tamings(rng, size):
         report = validate_taming(tm.J, tm.omega, tm.tol)
         if not report.passed:
             return False, "taming from Siegel point failed validation"
-        Q = q_metric(tm)
+        Q = tm.Q
         scale = max(1.0, float(np.max(np.abs(Q)))) * max(
             1.0, float(np.max(np.abs(tm.J))) ** 2
         )
@@ -189,7 +188,7 @@ def _check_tracelessness(rng, size):
         frame = sampling.random_lorentz_frame(rng)
         tm = sampling.random_taming(rng, t, eps=0.5)
         F = sampling.random_selfdual_sample(rng, frame, tm)
-        stress = inner_contraction(F, F, frame, q_metric(tm))
+        stress = inner_contraction(F, F, frame, tm)
         scale = max(1.0, F.norm() ** 2)
         if np.max(np.abs(stress - stress.T)) > 1e-12 * scale:
             return False, "stress tensor not symmetric"
@@ -210,8 +209,8 @@ def _check_equivariance(rng, size):
         r1 = maxwell_residual(F, frame, tm)
         if abs(r1 - maxwell_residual(F2, frame, tm2)) > 1e-9:
             return False, "Maxwell residual not duality invariant"
-        s1 = inner_contraction(F, F, frame, q_metric(tm))
-        s2 = inner_contraction(F2, F2, frame, q_metric(tm2))
+        s1 = inner_contraction(F, F, frame, tm)
+        s2 = inner_contraction(F2, F2, frame, tm2)
         if np.max(np.abs(s1 - s2)) > 1e-9:
             return False, "stress tensor not duality invariant"
     return True, f"{size} random symplectic rotations"
@@ -225,7 +224,7 @@ def _check_unitary_scalar(rng, size):
         tm = sampling.random_taming(rng, t, eps=0.5)
         F = sampling.random_field_sample(rng, n)
         psi = FundamentalFormSample([np.zeros((2 * n, 2 * n))] * rng.randint(1, 3))
-        values, _ = scalar_rhs(F, frame, q_metric(tm), psi)
+        values, _ = scalar_rhs(F, frame, tm, psi)
         if any(v != 0.0 for v in values):
             return False, "unitary scalar right side is not exactly zero"
     return True, f"{size} random samples with vanishing fundamental form"

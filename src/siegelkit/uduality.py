@@ -33,13 +33,13 @@ exactly what the box filter would, in the same order:
   and the filter (_taming_norm_lists) admits that margin plus float64
   rounding, so it drops no element the residual test keeps.
 
-A refused search raises BoundTooLargeForBudget with the counts in
-``details``.
+Each budget is used as given (default DEFAULT_BUDGET). Every count is
+at least 1, so a budget below 1 refuses every search. A refused search
+raises BoundTooLargeForBudget with the counts in ``details``.
 """
 
 import itertools
 import math
-import os
 from fractions import Fraction
 from numbers import Integral
 from operator import mul
@@ -50,7 +50,6 @@ from .errors import (
     BoundTooLargeForBudget,
     DimensionMismatch,
     InvalidModel,
-    ParseError,
     TypeMismatch,
 )
 from .exact_linalg import Frozen, IntegerMatrix, kernel_lattice, left_inverse, whole_integers
@@ -64,27 +63,6 @@ from .symplectic_lattices import (
 )
 
 DEFAULT_BUDGET = 5_000_000
-BUDGET_ENV_VAR = "SIEGELKIT_BUDGET"
-
-
-def search_budget(budget=None) -> int:
-    """The given budget, else $SIEGELKIT_BUDGET, else DEFAULT_BUDGET.
-
-    The environment value is decoded like ``--budget``; a budget that is
-    not a positive integer raises ParseError.
-    """
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV_VAR)
-        if raw is None:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(raw, 10)
-        except ValueError:
-            raise ParseError(f"{BUDGET_ENV_VAR} is not an integer: {raw!r}") from None
-    budget = int(budget)
-    if budget < 1:
-        raise ParseError(f"budget must be positive, got {budget}")
-    return budget
 
 
 class HolonomySubgroup(Frozen):
@@ -221,7 +199,7 @@ def _last_coefficients(partial, v, lo, hi, t: LatticeType):
     return range(lo, hi + 1)
 
 
-def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
+def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget: int = DEFAULT_BUDGET):
     """All Siegel modular matrices within the entry box commuting with h.
 
     Enumerates coefficients over the commutant lattice (rank r, not the
@@ -244,17 +222,14 @@ def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget=None):
     if bound < 1:
         raise ValueError("bound must be at least 1")
     basis = commutant_lattice(h)
-    if not basis:
-        return []
     limits = _coefficient_box(basis, bound)
     volume = 1
     for lim in limits:
         volume *= 2 * lim + 1
-    cap = search_budget(budget)
-    if volume > cap:
+    if volume > budget:
         with whole_integers():
-            message = f"coefficient box has {volume} points, budget is {cap}"
-        raise BoundTooLargeForBudget(message, budget=cap, volume=volume, limits=limits)
+            message = f"coefficient box has {volume} points, budget is {budget}"
+        raise BoundTooLargeForBudget(message, budget=budget, volume=volume, limits=limits)
     m = h.size
     t = h.type
     vecs = [[x for i in range(m) for x in b.row(i)] for b in basis]
@@ -392,23 +367,23 @@ class UDualityElement(Frozen):
         )
 
 
-def _box_columns(t: LatticeType, bound: int, cap: int):
+def _box_columns(t: LatticeType, bound: int, budget: int):
     """The nonzero columns with entries in [-bound, bound], in product order.
 
     Refuses, before any column is built, a search whose first level
-    alone takes more than ``cap`` tests (see _symplectic_box).
+    alone takes more than ``budget`` tests (see _symplectic_box).
     """
     m = 2 * t.n
     first = (2 * bound + 1) ** (2 * m) * (m - 1)
-    if first > cap:
+    if first > budget:
         with whole_integers():
-            message = f"first column level takes up to {first} tests, budget is {cap}"
-        raise BoundTooLargeForBudget(message, budget=cap, tested=0)
+            message = f"first column level takes up to {first} tests, budget is {budget}"
+        raise BoundTooLargeForBudget(message, budget=budget, tested=0)
     cells = range(-bound, bound + 1)
     return [c for c in itertools.product(cells, repeat=m) if any(c)]
 
 
-def _symplectic_box(t: LatticeType, bound: int, budget, lists=None):
+def _symplectic_box(t: LatticeType, bound: int, budget: int = DEFAULT_BUDGET, lists=None):
     """The Siegel modular matrices of type t whose column j is in lists[j].
 
     ``lists`` defaults to the (2b+1)^(2n) - 1 nonzero box columns (b =
@@ -431,9 +406,8 @@ def _symplectic_box(t: LatticeType, bound: int, budget, lists=None):
     n = t.n
     m = 2 * n
     ts = t.entries
-    cap = search_budget(budget)
     if lists is None:
-        lists = [_box_columns(t, bound, cap)] * m
+        lists = [_box_columns(t, bound, budget)] * m
     found = []
     tested = 0
 
@@ -456,10 +430,10 @@ def _symplectic_box(t: LatticeType, bound: int, budget, lists=None):
                 if not kept:
                     break
                 rest.append(kept)
-            if tested > cap:
+            if tested > budget:
                 raise BoundTooLargeForBudget(
-                    f"column search passed {cap} tests",
-                    budget=cap,
+                    f"column search passed {budget} tests",
+                    budget=budget,
                     tested=tested,
                 )
             if len(rest) == m - 1 - j:
@@ -517,7 +491,7 @@ def uduality_fiber_product(
     bound: int,
     t: LatticeType = None,
     tol: float = None,
-    budget=None,
+    budget: int = DEFAULT_BUDGET,
 ):
     """All pairs (f, U) in the box with U J(p) U^{-1} = J(f(p)) at every point.
 
@@ -546,14 +520,13 @@ def uduality_fiber_product(
         raise TypeMismatch(f"type {list(t.entries)} disagrees with omega, of type {list(own.entries)}")
     if tol is None:
         tol = max(max(tm.tol for tm in model.tamings), 1e-9)
-    cap = search_budget(budget)
-    columns = _box_columns(t, bound, cap)
+    columns = _box_columns(t, bound, budget)
     Js = [tm.J for tm in model.tamings]
     out = []
     for f_idx, (perm, lists) in enumerate(
         zip(model.isometries, _taming_norm_lists(columns, model, t, bound, tol))
     ):
-        candidates = _symplectic_box(t, bound, cap, lists)
+        candidates = _symplectic_box(t, bound, budget, lists)
         if not candidates:
             continue
         U = np.array([c.to_lists() for c in candidates], dtype=float)

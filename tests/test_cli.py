@@ -200,8 +200,17 @@ def test_flat_field_sample_exit_one(size, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert json.loads(out) == {
-        "error": f"bad field sample in field sample: field sample must be 6 x 2n, got ({size},)"
+        "error": f"field sample must be 6 x 2n, got ({size},)",
+        "kind": "DimensionMismatch",
     }
+
+
+def test_wrong_length_torus_point_exit_one(capsys):
+    x = {"translation": ["0", "0"], "rotation": {"entries": [["1", "0"], ["0", "1"]]}, "t": [1]}
+    payload = {"x": x, "p": {"t": [1], "coords": ["1/2", "0", "0"]}}
+    code, out = _run_main(["aff", "act", "--json", json.dumps(payload)], capsys)
+    assert code == 1
+    assert out == {"error": "expected 2 coordinates, got 3", "kind": "DimensionMismatch"}
 
 
 def test_cohomology_compute_subcommand():
@@ -368,9 +377,8 @@ def test_fiber_product_budget_refusal_is_structured(n, bound, budget, capsys):
     ],
     ids=["centralizer-volume", "fiber-product-first-level"],
 )
-def test_budget_refusal_counts_past_digit_limit(argv, payload, monkeypatch, capsys):
+def test_budget_refusal_counts_past_digit_limit(argv, payload, capsys):
     """A refusal count longer than the int/str digit limit is printed whole."""
-    monkeypatch.delenv("SIEGELKIT_BUDGET", raising=False)
     code = cli.main(argv + ["--json", json.dumps(payload)])
     text = capsys.readouterr().out
     assert code == 3
@@ -622,32 +630,28 @@ def test_field_calls_accept_every_constructed_taming(capsys):
 _S_GEN = {"generators": [{"entries": [["0", "-1"], ["1", "0"]]}], "t": [1]}
 
 
-@pytest.mark.parametrize(
-    "env,extra,error",
-    [
-        ("abc", [], "SIEGELKIT_BUDGET is not an integer: 'abc'"),
-        ("-5", [], "budget must be positive, got -5"),
-        (None, ["--budget", "-1"], "budget must be positive, got -1"),
-    ],
-    ids=["env-not-integer", "env-negative", "option-negative"],
-)
-def test_bad_budget_exit_one(env, extra, error, monkeypatch, capsys):
-    if env is None:
-        monkeypatch.delenv("SIEGELKIT_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("SIEGELKIT_BUDGET", env)
-    argv = ["uduality", "centralizer", "--bound", "3", *extra, "--json", json.dumps(_S_GEN)]
+@pytest.mark.parametrize("budget", ["-1", "0"], ids=["option-negative", "option-zero"])
+def test_bad_budget_exit_one(budget, capsys):
+    argv = ["uduality", "centralizer", "--bound", "3", "--budget", budget, "--json", json.dumps(_S_GEN)]
     code, out = _run_main(argv, capsys)
     assert code == 1
-    assert out == {"error": error}
+    assert out == {"error": f"budget must be positive, got {budget}"}
 
 
-def test_budget_from_environment(monkeypatch, capsys):
+@pytest.mark.parametrize("action", ["centralizer", "fiber-product"])
+def test_budget_is_checked_before_the_request(action, capsys):
+    code, out = _run_main(["uduality", action, "--budget", "0", "--json", "[]"], capsys)
+    assert code == 1
+    assert out == {"error": "budget must be positive, got 0"}
+
+
+def test_budget_environment_variable_is_ignored(monkeypatch, capsys):
+    """--budget is the one budget knob; SIEGELKIT_BUDGET is not read."""
     monkeypatch.setenv("SIEGELKIT_BUDGET", "10")
     argv = ["uduality", "centralizer", "--bound", "40", "--json", json.dumps(_S_GEN)]
     code, out = _run_main(argv, capsys)
-    assert code == 3
-    assert out["budget"] == 10
+    assert code == 0
+    assert out["count"] == 4
 
 
 def _dsz_payload(coefficients):

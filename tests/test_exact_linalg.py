@@ -408,6 +408,8 @@ def test_closed_operations_match_validated_construction():
         assert all(type(x) is int for i in range(r) for x in scaled.row(i))
         ints = [rng.randint(-9, 9) for _ in range(k)]
         assert A.apply(ints) == tuple(sum(la[i][q] * ints[q] for q in range(k)) for i in range(r))
+        mixed = [ints[q] if q % 2 else vec[q] for q in range(k)]
+        assert A.apply(mixed) == tuple(sum(la[i][q] * mixed[q] for q in range(k)) for i in range(r))
         snf = smith_normal_form(A)
         for X in (snf.U, snf.S, snf.V):
             assert X == IntegerMatrix(X.to_lists())

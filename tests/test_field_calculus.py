@@ -25,7 +25,6 @@ from siegelkit.polarization import (
     FundamentalFormSample,
     Taming,
     fundamental_projection,
-    q_metric,
     standard_taming_matrix,
 )
 from siegelkit.sampling import (
@@ -100,6 +99,11 @@ def test_flat_field_sample_is_a_dimension_mismatch(size):
         FieldStrengthSample(np.ones(size))
 
 
+def test_scalar_sample_refuses_an_indefinite_metric():
+    with pytest.raises(BadSignature, match="^pullback metric must be positive semidefinite$"):
+        ScalarSectorSample(-np.eye(4))
+
+
 def test_scalar_sample_near_the_float_range():
     """The metric is symmetrized halved first, so no finite sum overflows."""
     sample = ScalarSectorSample(np.diag([1e308, 1e308, 1.0, 1.0]))
@@ -158,7 +162,7 @@ def test_maxwell_residual_values():
     F = random_field_sample(rng, 1)
     op = PolarizedStar(frame, tm)
     minus = FieldStrengthSample((F.F - op(F).F) / 2.0)
-    Q = q_metric(tm)
+    Q = tm.Q
     qnorm = float(np.sqrt(np.trace(minus.F @ Q @ minus.F.T)))
     unit = FieldStrengthSample(minus.F / qnorm)
     assert abs(maxwell_residual(unit, frame, tm) - 2.0) <= 1e-9
@@ -169,7 +173,7 @@ def test_inner_contraction_electric_field_oracle():
     F = FieldStrengthSample(
         np.array([[1.0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]])
     )
-    T = inner_contraction(F, F, MINKOWSKI, np.eye(2))
+    T = inner_contraction(F, F, MINKOWSKI, _standard_pair(1))
     assert np.allclose(T, np.diag([1.0, -1.0, 0.0, 0.0]))
 
 
@@ -177,7 +181,7 @@ def test_inner_contraction_zero_and_symmetry():
     rng = random.Random(7)
     zero = FieldStrengthSample(np.zeros((6, 2)))
     assert np.array_equal(
-        inner_contraction(zero, zero, MINKOWSKI, np.eye(2)), np.zeros((4, 4))
+        inner_contraction(zero, zero, MINKOWSKI, _standard_pair(1)), np.zeros((4, 4))
     )
     for _ in range(100):
         n = rng.randint(1, 2)
@@ -185,27 +189,26 @@ def test_inner_contraction_zero_and_symmetry():
         frame = random_lorentz_frame(rng)
         tm = random_taming(rng, t, eps=0.5)
         F = random_field_sample(rng, n)
-        S = inner_contraction(F, F, frame, q_metric(tm))
+        S = inner_contraction(F, F, frame, tm)
         assert np.max(np.abs(S - S.T)) <= 1e-12 * max(1.0, F.norm() ** 2)
 
 
 def test_twisted_pairing_examples():
     tm = _standard_pair(1)
-    Q = q_metric(tm)
     rng = random.Random(8)
     F = random_field_sample(rng, 1)
     zero = FieldStrengthSample(np.zeros((6, 2)))
-    assert twisted_pairing(F, zero, MINKOWSKI, Q) == 0.0
+    assert twisted_pairing(F, zero, MINKOWSKI, tm) == 0.0
     # basis two-form against itself: its wedge-metric norm times Q_aa
     basis = np.zeros((6, 2))
     basis[5, 0] = 1.0  # dy^dz in the first duality slot
     Fb = FieldStrengthSample(basis)
-    assert abs(twisted_pairing(Fb, Fb, MINKOWSKI, Q) - 1.0) <= 1e-12
+    assert abs(twisted_pairing(Fb, Fb, MINKOWSKI, tm) - 1.0) <= 1e-12
     for _ in range(50):
         F1 = random_field_sample(rng, 1)
         F2 = random_field_sample(rng, 1)
-        a = twisted_pairing(F1, F2, MINKOWSKI, Q)
-        b = twisted_pairing(F2, F1, MINKOWSKI, Q)
+        a = twisted_pairing(F1, F2, MINKOWSKI, tm)
+        b = twisted_pairing(F2, F1, MINKOWSKI, tm)
         assert abs(a - b) <= 1e-12
 
 
@@ -217,49 +220,46 @@ def test_tracelessness_of_selfdual_stress():
         frame = random_lorentz_frame(rng)
         tm = random_taming(rng, t, eps=0.5)
         F = random_selfdual_sample(rng, frame, tm)
-        S = inner_contraction(F, F, frame, q_metric(tm))
+        S = inner_contraction(F, F, frame, tm)
         assert abs(trace_g(frame, S)) <= 1e-9 * max(1.0, F.norm() ** 2)
 
 
 def test_einstein_rhs_examples():
     tm = _standard_pair(1)
-    Q = q_metric(tm)
     zeroF = FieldStrengthSample(np.zeros((6, 2)))
-    rhs, residual = einstein_rhs(zeroF, MINKOWSKI, Q, ScalarSectorSample(np.zeros((4, 4))))
+    rhs, residual = einstein_rhs(zeroF, MINKOWSKI, tm, ScalarSectorSample(np.zeros((4, 4))))
     assert np.array_equal(rhs, np.zeros((4, 4)))
     assert residual is None
     # s*G = I gives (1/2) Tr_g(I) g - I = g - I, since Tr_g(I) = -1 + 3 = 2
-    rhs2, _ = einstein_rhs(zeroF, MINKOWSKI, Q, ScalarSectorSample(np.eye(4)))
+    rhs2, _ = einstein_rhs(zeroF, MINKOWSKI, tm, ScalarSectorSample(np.eye(4)))
     assert np.allclose(rhs2, MINKOWSKI.g - np.eye(4))
     # supplied left side reports a residual
     sample = ScalarSectorSample(np.zeros((4, 4)), einstein_lhs=np.zeros((4, 4)))
-    _, residual3 = einstein_rhs(zeroF, MINKOWSKI, Q, sample)
+    _, residual3 = einstein_rhs(zeroF, MINKOWSKI, tm, sample)
     assert residual3 == 0.0
 
 
 def test_einstein_selfdual_term_traceless():
     rng = random.Random(10)
     tm = _standard_pair(1)
-    Q = q_metric(tm)
     for _ in range(20):
         F = random_selfdual_sample(rng, MINKOWSKI, tm)
-        rhs, _ = einstein_rhs(F, MINKOWSKI, Q, ScalarSectorSample(np.zeros((4, 4))))
+        rhs, _ = einstein_rhs(F, MINKOWSKI, tm, ScalarSectorSample(np.zeros((4, 4))))
         assert abs(trace_g(MINKOWSKI, rhs)) <= 1e-9 * max(1.0, F.norm() ** 2)
 
 
 def test_scalar_rhs_unitary_and_zero_field():
     rng = random.Random(11)
     tm = _standard_pair(1)
-    Q = q_metric(tm)
     psi0 = FundamentalFormSample([np.zeros((2, 2)), np.zeros((2, 2))])
     F = random_field_sample(rng, 1)
-    values, residuals = scalar_rhs(F, MINKOWSKI, Q, psi0)
+    values, residuals = scalar_rhs(F, MINKOWSKI, tm, psi0)
     assert values == (0.0, 0.0)
     assert residuals is None
     P = fundamental_projection(np.array([[0.3, 0.7], [-0.2, 0.5]]), tm)
     psi = FundamentalFormSample([P])
     zeroF = FieldStrengthSample(np.zeros((6, 2)))
-    assert scalar_rhs(zeroF, MINKOWSKI, Q, psi)[0] == (0.0,)
+    assert scalar_rhs(zeroF, MINKOWSKI, tm, psi)[0] == (0.0,)
 
 
 def test_scalar_rhs_brute_force_oracle():
@@ -269,12 +269,12 @@ def test_scalar_rhs_brute_force_oracle():
         t = LatticeType((1,))
         frame = random_lorentz_frame(rng)
         tm = random_taming(rng, t, eps=0.5)
-        Q = q_metric(tm)
+        Q = tm.Q
         P = fundamental_projection(
             np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]), tm
         )
         F = random_selfdual_sample(rng, frame, tm)
-        values, _ = scalar_rhs(F, frame, Q, FundamentalFormSample([P]))
+        values, _ = scalar_rhs(F, frame, tm, FundamentalFormSample([P]))
         starF = hodge_star_matrix(frame) @ F.F
         PF = F.F @ P.T
         acc = 0.0
@@ -297,7 +297,7 @@ def test_scalar_rhs_brute_force_oracle():
         assert abs(values[0] - 0.5 * acc) <= 1e-10 * max(1.0, abs(acc))
     # residual reporting against a supplied left side
     values, residuals = scalar_rhs(
-        F, frame, Q, FundamentalFormSample([P]), lhs=[values[0]]
+        F, frame, tm, FundamentalFormSample([P]), lhs=[values[0]]
     )
     assert residuals == (0.0,)
 
@@ -344,8 +344,8 @@ def test_duality_invariance_of_residual_and_stress():
             abs(maxwell_residual(F, frame, tm) - maxwell_residual(F2, frame, tm2))
             <= 1e-9
         )
-        s1 = inner_contraction(F, F, frame, q_metric(tm))
-        s2 = inner_contraction(F2, F2, frame, q_metric(tm2))
+        s1 = inner_contraction(F, F, frame, tm)
+        s2 = inner_contraction(F2, F2, frame, tm2)
         assert np.max(np.abs(s1 - s2)) <= 1e-9
 
 
@@ -355,3 +355,23 @@ def test_scalar_sample_freezes_a_copy_of_einstein_lhs():
     assert lhs.flags.writeable and not sample.einstein_lhs.flags.writeable
     lhs[0, 0] = 1.0
     assert sample.einstein_lhs[0, 0] == 0.0
+
+
+_WIDTH_CHECKED = {
+    "inner_contraction": lambda F, tm: inner_contraction(F, F, MINKOWSKI, tm),
+    "twisted_pairing": lambda F, tm: twisted_pairing(F, F, MINKOWSKI, tm),
+    "einstein_rhs": lambda F, tm: einstein_rhs(
+        F, MINKOWSKI, tm, ScalarSectorSample(np.zeros((4, 4)))
+    ),
+    "scalar_rhs": lambda F, tm: scalar_rhs(
+        F, MINKOWSKI, tm, FundamentalFormSample([np.zeros((2, 2))])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDTH_CHECKED))
+def test_field_functions_refuse_a_taming_of_another_size(name):
+    """The taming's metric Q must match the sample width."""
+    F = random_field_sample(random.Random(16), 1)
+    with pytest.raises(DimensionMismatch, match=r"^Q has shape \(4, 4\), sample width is 2$"):
+        _WIDTH_CHECKED[name](F, _standard_pair(2))

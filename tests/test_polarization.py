@@ -13,7 +13,6 @@ from siegelkit.polarization import (
     TamingReport,
     fundamental_projection,
     push_forward_taming,
-    q_metric,
     standard_taming_matrix,
     taming_from_siegel_point,
     validate_fundamental_form,
@@ -52,18 +51,18 @@ def test_identity_fails_square():
 
 def test_q_metric_examples():
     tm = Taming(J0, OM1, 0.0)
-    assert np.array_equal(q_metric(tm), np.eye(2))
+    assert np.array_equal(tm.Q, np.eye(2))
     om2 = standard_gram(LatticeType((2,)))
     tm2 = Taming(J0, om2, 0.0)
-    assert np.array_equal(q_metric(tm2), 2 * np.eye(2))
+    assert np.array_equal(tm2.Q, 2 * np.eye(2))
 
 
 def test_taming_keeps_its_metric():
-    """Q = Omega @ J is stored frozen when the taming is built; q_metric reads it."""
+    """Q = Omega @ J is stored frozen when the taming is built."""
     rng = random.Random(5)
     for _ in range(20):
         tm = random_taming(rng, random_lattice_type(rng, rng.randint(1, 3)))
-        assert q_metric(tm) is tm.Q and not tm.Q.flags.writeable
+        assert not tm.Q.flags.writeable
         assert np.array_equal(tm.Q, np.array(tm.omega.to_lists(), dtype=float) @ tm.J)
 
 
@@ -71,7 +70,7 @@ def test_q_metric_from_siegel_point():
     Z = SiegelPoint(np.zeros((2, 2)), np.eye(2))
     om = standard_gram(LatticeType.principal(2))
     tm = taming_from_siegel_point(Z, om)
-    Q = q_metric(tm)
+    Q = tm.Q
     assert np.max(np.abs(Q - Q.T)) <= 1e-12
     assert np.min(np.linalg.eigvalsh(Q)) > 0
 
@@ -136,7 +135,7 @@ def test_q_invariance_under_j():
         n = rng.randint(1, 3)
         t = random_lattice_type(rng, n)
         tm = random_taming(rng, t)
-        Q = q_metric(tm)
+        Q = tm.Q
         scale = max(1.0, np.max(np.abs(Q))) * max(1.0, np.max(np.abs(tm.J)) ** 2)
         assert np.max(np.abs(tm.J.T @ Q @ tm.J - Q)) <= 1e-10 * scale
 

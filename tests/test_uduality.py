@@ -151,6 +151,16 @@ def test_centralizer_budget_guard():
         centralizer_enumerate(h, bound=50, budget=100)
 
 
+def test_budget_below_one_refuses_every_search():
+    """Every count is at least 1, so budget 0 is a refusal, not a parse error."""
+    with pytest.raises(BoundTooLargeForBudget) as exc:
+        centralizer_enumerate(HolonomySubgroup([S_ROT], T1), bound=1, budget=0)
+    assert exc.value.details["budget"] == 0
+    with pytest.raises(BoundTooLargeForBudget) as exc:
+        uduality_fiber_product(_two_point_conjugated_model(), bound=1, budget=0)
+    assert exc.value.details == {"budget": 0, "tested": 0}
+
+
 def test_model_validation():
     tm = Taming(standard_taming_matrix(1), standard_gram(T1), 0.0)
     with pytest.raises(InvalidModel):
@@ -373,13 +383,13 @@ def test_symplectic_box_matches_entry_box_filter(entries):
             cand = IntegerMatrix([list(flat[:2]), list(flat[2:])])
             if sp_type_membership(cand, t):
                 oracle.append(cand)
-        assert _symplectic_box(t, bound, None) == oracle
+        assert _symplectic_box(t, bound) == oracle
 
 
 @pytest.mark.parametrize("entries,count", [((1, 1), 17312), ((1, 2), 400)])
 def test_symplectic_box_n2_matches_numpy_oracle(entries, count):
     t = LatticeType(entries)
-    got = [tuple(map(tuple, m.to_lists())) for m in _symplectic_box(t, 1, None)]
+    got = [tuple(map(tuple, m.to_lists())) for m in _symplectic_box(t, 1)]
     assert got == numpy_symplectic_box(t, 1)
     assert len(got) == count
 
@@ -431,7 +441,7 @@ def test_centralizer_builds_no_validated_matrix(monkeypatch):
 
 def full_box(t, bound):
     """_symplectic_box with its default full column lists, with numpy copies."""
-    box = _symplectic_box(t, bound, None)
+    box = _symplectic_box(t, bound)
     U = np.array([c.to_lists() for c in box], dtype=float)
     Uinv = np.array([symplectic_inverse(c, t).to_lists() for c in box], dtype=float)
     return box, U, Uinv
