@@ -280,13 +280,12 @@ def _cohomology_dsz(data, args):
     return verdict.as_dict(), verdict.integral
 
 
-def _bound(args):
-    """The enumeration bound, once --bound and --budget are both checked."""
+def _check_search_args(args):
+    """Refuse a --bound below 1 or a --budget below 1, as malformed input."""
     if args.bound < 1:
         raise ParseError("bound must be at least 1")
     if args.budget < 1:
         raise ParseError(f"budget must be positive, got {args.budget}")
-    return args.bound
 
 
 def _uduality_commutant(data, args):
@@ -296,27 +295,25 @@ def _uduality_commutant(data, args):
 
 
 def _uduality_centralizer(data, args):
-    bound = _bound(args)
     h = jsonio.decode_holonomy(data)
-    found = centralizer_enumerate(h, bound=bound, budget=args.budget)
+    found = centralizer_enumerate(h, bound=args.bound, budget=args.budget)
     return {
-        "bound": bound,
+        "bound": args.bound,
         "count": len(found),
         "elements": [jsonio.encode_integer_matrix(m) for m in found],
     }
 
 
 def _uduality_fiber_product(data, args):
-    bound = _bound(args)
     model = jsonio.decode_scalar_model(data)
     elements = uduality_fiber_product(
-        model, bound=bound, tol=args.tol, budget=args.budget
+        model, bound=args.bound, tol=args.tol, budget=args.budget
     )
     return {
-        "bound": bound,
+        "bound": args.bound,
         "count": len(elements),
         "elements": [jsonio.encode_uduality_element(e) for e in elements],
-        "closure": closure_within_box(elements, model, bound).as_dict(),
+        "closure": closure_within_box(elements, model, args.bound).as_dict(),
     }
 
 
@@ -367,7 +364,11 @@ COMMANDS = {
 
 
 def _run(args):
-    result = COMMANDS[args.command][args.action](_read_input(args), args)
+    data = _read_input(args)
+    if args.command == "uduality":
+        # Every action takes --bound and --budget: checked before decoding.
+        _check_search_args(args)
+    result = COMMANDS[args.command][args.action](data, args)
     payload, passed = result if isinstance(result, tuple) else (result, True)
     _emit(args, payload)
     return EXIT_OK if passed else EXIT_VALIDATION

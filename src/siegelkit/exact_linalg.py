@@ -6,24 +6,26 @@ entries, and the normal-form routines below are the oracles the rest of
 the package is validated against.
 
 Smith normal form follows a fixed pivot rule (smallest absolute value,
-scanning rows then columns) so its output is deterministic for a given
-input. One private elimination serves every caller and updates only
-the transforms the caller reads: ``kernel_lattice`` tracks V alone,
-``rank`` no transform, and ``smith_normal_form`` both U and V. An SNF
-is used only where invariant factors or a kernel basis are the answer;
-inverses and coordinates come from ``left_inverse``, the one
-fraction-free Gauss-Jordan elimination.
+scanning rows then columns; Cohen, GTM 138, 2.4.4) so its output is
+deterministic for a given input. The scan stops at the first unit, the
+entry a full scan would pick, and a unit pivot skips the divisibility
+check of the rest, since it divides every entry. One private
+elimination serves every caller and updates only the transforms the
+caller reads: ``kernel_lattice`` tracks V alone, ``rank`` no
+transform, and ``smith_normal_form`` both U and V. An SNF is used only
+where invariant factors or a kernel basis are the answer; inverses and
+coordinates come from ``left_inverse``, the one fraction-free
+Gauss-Jordan elimination.
 
 Validation contract: an ``IntegerMatrix`` is validated once, when it is
 built by its public constructor (rectangular, nonempty, every entry an
 ``Integral``). Closed operations (``+``, ``-``, negation, products with
-matrices and ints, transpose, Kronecker products) and the Smith normal
-form outputs compute int entries from already validated ints, so they
-build their results through the private trusted constructor
-``IntegerMatrix._trusted`` and skip the per-entry checks. A value
-once built never changes: every value type of the package derives from
-``Frozen``, so assigning or deleting an attribute raises
-``AttributeError``.
+matrices and ints, transpose) and the Smith normal form outputs compute
+int entries from already validated ints, so they build their results
+through the private trusted constructor ``IntegerMatrix._trusted`` and
+skip the per-entry checks. A value once built never changes: every
+value type of the package derives from ``Frozen``, so assigning or
+deleting an attribute raises ``AttributeError``.
 """
 
 import contextlib
@@ -207,16 +209,6 @@ class IntegerMatrix(Frozen):
     def max_abs(self):
         return max(abs(a) for r in self._entries for a in r)
 
-    def kronecker(self, other):
-        """Kronecker product, used to assemble Sylvester-type systems."""
-        return IntegerMatrix._trusted(
-            tuple(
-                tuple([a * b for a in ra for b in rb])
-                for ra in self._entries
-                for rb in other._entries
-            )
-        )
-
     def _check_same_shape(self, other):
         if self.shape() != other.shape():
             raise _dim(f"shape mismatch {self.shape()} vs {other.shape()}")
@@ -311,7 +303,11 @@ def _smith(a, *, left, right):
     None.
 
     Pivot rule: the first entry of smallest nonzero absolute value,
-    scanning the working submatrix rows then columns. The pivots depend
+    scanning the working submatrix rows then columns. No entry is
+    smaller than a unit, so the scan ends at the first entry of absolute
+    value 1. Once the pivot's row and column are cleared, the rest of
+    the submatrix is scanned for an entry the pivot does not divide;
+    a unit pivot divides them all and skips that scan. The pivots depend
     on A alone, so S and every tracked transform are the same whichever
     others are tracked.
     """
@@ -353,6 +349,10 @@ def _smith(a, *, left, right):
             for j, x in enumerate(rest, d):
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
+                    if best[0] == 1:
+                        # Nothing is smaller: the first unit is the first
+                        # smallest entry, the pivot a full scan would take.
+                        return best
         return best
 
     d = 0
@@ -387,9 +387,12 @@ def _smith(a, *, left, right):
                         dirty = True
             if dirty:
                 continue
-            # Enforce divisibility of the remaining submatrix.
-            offender = None
+            # Enforce divisibility of the remaining submatrix. A unit
+            # pivot divides every entry, so it needs no scan.
             p = A[d][d]
+            if p in (1, -1):
+                break
+            offender = None
             for i in range(d + 1, m):
                 for j in range(d + 1, n):
                     if A[i][j] % p != 0:

@@ -33,6 +33,11 @@ exactly what the box filter would, in the same order:
   and the filter (_taming_norm_lists) admits that margin plus float64
   rounding, so it drops no element the residual test keeps.
 
+The three searches (centralizer_enumerate, uduality_fiber_product and
+its column search _symplectic_box) refuse a bound below 1 with
+ValueError("bound must be at least 1") before any work: that box holds
+no invertible matrix.
+
 Each budget is used as given (default DEFAULT_BUDGET). Every count is
 at least 1, so a budget below 1 refuses every search. A refused search
 raises BoundTooLargeForBudget with the counts in ``details``.
@@ -101,20 +106,34 @@ def commutant_lattice(h: HolonomySubgroup):
     """Z-basis of {X integer : X g = g X for every generator g}.
 
     Solved exactly as the kernel of the stacked Sylvester maps
-    X -> X g - g X on column-major vectorizations. The generators were
-    validated when h was built, so the stack and the basis matrices are
-    closed operations on their ints and skip the per-entry checks.
+    X -> X g - g X on column-major vectorizations, whose matrix is
+    g^T kron I - I kron g. Its row (i, k), column (j, l) entry is
+    g[j][i] delta_kl - delta_ij g[k][l], and the rows of each generator
+    are built from that formula, with no Kronecker product. The
+    generators were validated when h was built, so the stack and the
+    basis matrices are closed operations on their ints and skip the
+    per-entry checks.
     """
     m = h.size
-    ident = IntegerMatrix.identity(m)
+    r = range(m)
     blocks = []
     for g in h.generators:
-        sylv = g.transpose().kronecker(ident) - ident.kronecker(g)
-        blocks.extend(sylv._entries)
+        e = g._entries
+        blocks.extend(
+            tuple([(e[j][i] if k == l else 0) - (e[k][l] if i == j else 0) for j in r for l in r])
+            for i in r
+            for k in r
+        )
     stack = (
         IntegerMatrix._trusted(tuple(blocks)) if blocks else IntegerMatrix.zeros(1, m * m)
     )
     return [_unvec(v, m) for v in kernel_lattice(stack)]
+
+
+def _check_bound(bound):
+    """The enumerations' one bound rule: refuse a bound below 1."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
 
 
 def _coefficient_box(basis, bound):
@@ -219,8 +238,7 @@ def centralizer_enumerate(h: HolonomySubgroup, bound: int, budget: int = DEFAULT
     The budget counts the coefficient-box volume, prod (2 lim_i + 1),
     and is checked before the search.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    _check_bound(bound)
     basis = commutant_lattice(h)
     limits = _coefficient_box(basis, bound)
     volume = 1
@@ -403,6 +421,7 @@ def _symplectic_box(t: LatticeType, bound: int, budget: int = DEFAULT_BUDGET, li
     built, see _box_columns) when that is over budget, and otherwise as
     soon as the running count passes the budget.
     """
+    _check_bound(bound)
     n = t.n
     m = 2 * n
     ts = t.entries
@@ -513,6 +532,7 @@ def uduality_fiber_product(
     the compatibility condition and live in the kernel of the adjoint
     map.
     """
+    _check_bound(bound)
     own = omega_type(model.tamings[0].omega)
     if t is None:
         t = own
@@ -592,13 +612,29 @@ class ClosureReport:
 def closure_within_box(
     elements, model: FiniteScalarModel, bound: int
 ) -> ClosureReport:
-    """Check closure under products whose rotation stays inside the box."""
-    present = {(e.isometry, e.rotation) for e in elements}
+    """Check closure under products whose rotation stays inside the box.
+
+    Every ordered pair (x, y) is composed, in order. The rotation of the
+    product is formed as raw rows, x's rows against y's columns (each
+    rotation is transposed once), and tested against the box on those
+    rows; an in-box product is looked up by (isometry, rows). Only a
+    product that is in the box but not among the elements is built, by
+    uduality_compose, so ``missing`` holds the composites themselves,
+    torus parts included. Rotations must all be m x m for one m, as the
+    matrix products require (DimensionMismatch otherwise).
+    """
+    shapes = {e.rotation.shape() for e in elements}
+    if len(shapes) > 1 or any(r != c for r, c in shapes):
+        raise DimensionMismatch(f"rotations of shapes {sorted(shapes)} do not compose")
+    present = {(e.isometry, e.rotation._entries) for e in elements}
+    columns = [tuple(zip(*e.rotation._entries)) for e in elements]
     missing = []
     for x in elements:
-        for y in elements:
-            z = uduality_compose(x, y, model)
-            if z.rotation.max_abs() <= bound:
-                if (z.isometry, z.rotation) not in present:
-                    missing.append(z)
+        xrows = x.rotation._entries
+        for y, ycols in zip(elements, columns):
+            rows = tuple(tuple([sum(map(mul, r, c)) for c in ycols]) for r in xrows)
+            if max(map(max, rows)) > bound or min(map(min, rows)) < -bound:
+                continue
+            if (model.compose_isometries(x.isometry, y.isometry), rows) not in present:
+                missing.append(uduality_compose(x, y, model))
     return ClosureReport(not missing, missing)

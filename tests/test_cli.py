@@ -645,6 +645,31 @@ def test_budget_is_checked_before_the_request(action, capsys):
     assert out == {"error": "budget must be positive, got 0"}
 
 
+_UDUALITY_REQUESTS = {
+    "commutant": _S_GEN,
+    "centralizer": _S_GEN,
+    "fiber-product": _ONE_POINT,
+    "ad": {"isometry": 0, "rotation": _S_GEN["generators"][0], "torus": ["1/2", "0"]},
+}
+
+
+@pytest.mark.parametrize("action", sorted(_UDUALITY_REQUESTS))
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (["--bound", "0"], "bound must be at least 1"),
+        (["--budget", "0"], "budget must be positive, got 0"),
+        (["--budget", "-4"], "budget must be positive, got -4"),
+    ],
+    ids=["bound-zero", "budget-zero", "budget-negative"],
+)
+def test_every_uduality_action_checks_bound_and_budget(action, option, message, capsys):
+    request = json.dumps(_UDUALITY_REQUESTS[action])
+    assert _run_main(["uduality", action, "--json", request], capsys)[0] == 0
+    code, out = _run_main(["uduality", action, *option, "--json", request], capsys)
+    assert (code, out) == (1, {"error": message})
+
+
 def test_budget_environment_variable_is_ignored(monkeypatch, capsys):
     """--budget is the one budget knob; SIEGELKIT_BUDGET is not read."""
     monkeypatch.setenv("SIEGELKIT_BUDGET", "10")

@@ -6,8 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegelkit.errors import BoundTooLargeForBudget, InvalidModel, NotSymplectic, TypeMismatch
-from siegelkit.exact_linalg import IntegerMatrix, rational_solve_many
+from siegelkit import uduality
+from siegelkit.errors import (
+    BoundTooLargeForBudget,
+    DimensionMismatch,
+    InvalidModel,
+    NotSymplectic,
+    TypeMismatch,
+)
+from siegelkit.exact_linalg import IntegerMatrix, kernel_lattice, rational_solve_many
 from siegelkit.polarization import Taming, push_forward_taming, standard_taming_matrix
 from siegelkit.sampling import random_sl2z, random_sp_t_element, random_taming
 from siegelkit.symplectic_lattices import (
@@ -71,6 +78,22 @@ def spans_same_lattice(basis_a, basis_b):
     return True
 
 
+def kronecker(a, b):
+    """The Kronecker product a kron b, entry by entry."""
+    return IntegerMatrix(
+        [[x * y for x in ra for y in rb] for ra in a.to_lists() for rb in b.to_lists()]
+    )
+
+
+def kronecker_sylvester(generators):
+    """The stack of g^T kron I - I kron g, one block per generator."""
+    ident = IntegerMatrix.identity(generators[0].rows)
+    rows = []
+    for g in generators:
+        rows.extend((kronecker(g.transpose(), ident) - kronecker(ident, g)).to_lists())
+    return IntegerMatrix(rows)
+
+
 def test_commutant_of_identity_is_everything():
     h = HolonomySubgroup([I2], T1)
     basis = commutant_lattice(h)
@@ -98,9 +121,23 @@ def test_commutant_rank_matches_sylvester_corank():
         g = random_sp_t_element(rng, T1, steps=4, entry_bound=9)
         h = HolonomySubgroup([g], T1)
         basis = commutant_lattice(h)
-        ident = IntegerMatrix.identity(2)
-        sylv = g.transpose().kronecker(ident) - ident.kronecker(g)
-        assert len(basis) == 4 - smith_normal_form(sylv).rank()
+        assert len(basis) == 4 - smith_normal_form(kronecker_sylvester([g])).rank()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2])
+def test_commutant_is_the_kernel_of_the_kronecker_stack(n, count):
+    """Same basis, in order, as the kernel of the Kronecker-built stack."""
+    rng = random.Random(f"sylvester/{n}/{count}")
+    t = LatticeType((1,) * n)
+    m = 2 * n
+    for _ in range(4):
+        gens = [random_sp_t_element(rng, t, steps=2, entry_bound=2) for _ in range(count)]
+        expected = [
+            IntegerMatrix([[v[j * m + i] for j in range(m)] for i in range(m)])
+            for v in kernel_lattice(kronecker_sylvester(gens))
+        ]
+        assert commutant_lattice(HolonomySubgroup(gens, t)) == expected
 
 
 def test_centralizer_trivial_holonomy_matches_brute_force():
@@ -159,6 +196,25 @@ def test_budget_below_one_refuses_every_search():
     with pytest.raises(BoundTooLargeForBudget) as exc:
         uduality_fiber_product(_two_point_conjugated_model(), bound=1, budget=0)
     assert exc.value.details == {"budget": 0, "tested": 0}
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_every_enumeration_refuses_a_bound_below_one(bound, monkeypatch):
+    """One rule, checked before any work: no commutant, omega or box is read."""
+
+    def no_work(*args):
+        raise AssertionError("work before the bound check")
+
+    for name in ("commutant_lattice", "omega_type", "_box_columns"):
+        monkeypatch.setattr(uduality, name, no_work)
+    calls = [
+        lambda: centralizer_enumerate(HolonomySubgroup([S_ROT], T1), bound),
+        lambda: uduality_fiber_product(_two_point_conjugated_model(), bound),
+        lambda: _symplectic_box(T1, bound),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^bound must be at least 1$"):
+            call()
 
 
 def test_model_validation():
@@ -290,6 +346,57 @@ def test_adjoint_homomorphism_and_kernel():
     assert not is_pure_translation(
         UDualityElement(nontrivial.isometry, nontrivial.rotation, (0, 0)), model
     )
+
+
+def naive_missing(elements, model, bound):
+    """Every in-box composite of an ordered pair that is not an element."""
+    present = {(e.isometry, e.rotation) for e in elements}
+    missing = []
+    for x in elements:
+        for y in elements:
+            z = uduality_compose(x, y, model)
+            if z.rotation.max_abs() <= bound and (z.isometry, z.rotation) not in present:
+                missing.append(z)
+    return missing
+
+
+def test_closure_missing_matches_all_pairs_compose():
+    """One element dropped from each fiber product: same missing list, in order.
+
+    tol = 1 admits near misses, whose products leave the found set in
+    every direction. Three equal points make every permutation an
+    isometry, a non-abelian group.
+    """
+    rng = random.Random(4711)
+    models = _pushed_forward_models(rng, T1, 6) + [_two_point_conjugated_model()]
+    cases = [(model, tol) for model in models for tol in (None, 1.0)]
+    standard = Taming(standard_taming_matrix(1), standard_gram(T1), 0.0)
+    cases.append((FiniteScalarModel(3, itertools.permutations(range(3)), [standard] * 3), None))
+    lengths = []
+    for bound, (model, tol) in itertools.product((1, 2, 3, 4), cases):
+        found = uduality_fiber_product(model, bound, t=T1, tol=tol)
+        for k in sorted({0, len(found) // 2, len(found) - 1}):
+            elements = found[:k] + found[k + 1 :]
+            if k % 2:
+                elements = [
+                    UDualityElement(e.isometry, e.rotation, (Fraction(1, 3), Fraction(k, 7)))
+                    for e in elements
+                ]
+            expected = naive_missing(elements, model, bound)
+            report = closure_within_box(elements, model, bound)
+            assert report.missing == expected, (bound, tol, k)
+            assert report.closed == (not expected)
+            lengths.append(len(expected))
+    assert min(lengths) == 0 and max(lengths) > 1
+
+
+def test_closure_refuses_rotations_of_different_sizes():
+    model = FiniteScalarModel(1, [(0,)], [Taming(standard_taming_matrix(1), standard_gram(T1), 0.0)])
+    mixed = [UDualityElement(0, I2), UDualityElement(0, IntegerMatrix.identity(4))]
+    with pytest.raises(DimensionMismatch):
+        closure_within_box(mixed, model, 1)
+    with pytest.raises(DimensionMismatch):
+        closure_within_box([UDualityElement(0, IntegerMatrix([[1, 0, 0], [0, 1, 0]]))], model, 1)
 
 
 def test_pure_translations_compose_in_kernel():
