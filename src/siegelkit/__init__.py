@@ -29,22 +29,18 @@ from .exact_linalg import (
     determinant,
     inverse_unimodular,
     kernel_lattice,
-    rank,
     smith_normal_form,
 )
 from .field_calculus import (
     FieldStrengthSample,
     PointFrame,
     PolarizedStar,
-    ScalarSectorSample,
     duality_transform_sample,
-    einstein_rhs,
     hodge_star_matrix,
     inner_contraction,
     maxwell_residual,
     project_selfdual,
     scalar_rhs,
-    twisted_pairing,
 )
 from .local_systems import (
     ChargeClass,
@@ -64,7 +60,6 @@ from .polarization import (
     FundamentalFormSample,
     SiegelPoint,
     Taming,
-    fundamental_projection,
     push_forward_taming,
     standard_taming_matrix,
     taming_from_siegel_point,

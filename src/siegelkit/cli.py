@@ -20,6 +20,7 @@ from . import jsonio
 from .errors import (
     BoundTooLargeForBudget,
     DimensionMismatch,
+    InvalidFundamentalForm,
     ParseError,
     SiegelKitError,
 )
@@ -41,6 +42,7 @@ from .polarization import (
     DEFAULT_TOL,
     push_forward_taming,
     taming_from_siegel_point,
+    validate_fundamental_form,
     validate_taming,
 )
 from .selftest import run_selftest
@@ -159,9 +161,7 @@ def _aff_rep(data, args):
 def _taming_validate(data, args):
     J = jsonio.decode_float_matrix(jsonio._need(data, "J", "taming"), "taming")
     omega = jsonio.decode_integer_matrix(jsonio._need(data, "omega", "taming"))
-    tol = args.tol
-    if tol is None:
-        tol = jsonio.decode_tol(data.get("tol", DEFAULT_TOL), "taming")
+    tol = jsonio.decode_tol(data.get("tol", DEFAULT_TOL), "taming")
     report = validate_taming(J, omega, tol)
     return report.as_dict(), report.passed
 
@@ -177,17 +177,15 @@ def _taming_from_siegel(data, args):
 
 
 def _taming_push(data, args):
-    tm = jsonio._need(data, "taming", "push request")
-    tm = jsonio.decode_taming(tm, tol_override=args.tol)
+    tm = jsonio.decode_taming(jsonio._need(data, "taming", "push request"))
     gamma = jsonio.decode_integer_matrix(jsonio._need(data, "gamma", "push request"))
     return jsonio.encode_taming(push_forward_taming(gamma, tm))
 
 
-def _field_inputs(data, args, where="field request"):
+def _field_inputs(data, where="field request"):
     """The frame, taming and field sample of a field request, in that order."""
     frame = jsonio.decode_frame(jsonio._need(data, "frame", "field request"))
-    taming = jsonio._need(data, "taming", where)
-    taming = jsonio.decode_taming(taming, tol_override=args.tol)
+    taming = jsonio.decode_taming(jsonio._need(data, "taming", where))
     sample = jsonio.decode_field_sample(jsonio._need(data, "F_sample", where))
     return frame, taming, sample
 
@@ -198,25 +196,29 @@ def _field_star(data, args):
 
 
 def _field_project(data, args):
-    frame, taming, sample = _field_inputs(data, args)
+    frame, taming, sample = _field_inputs(data)
     return jsonio.encode_field_sample(project_selfdual(sample, frame, taming))
 
 
 def _field_residual(data, args):
-    frame, taming, sample = _field_inputs(data, args)
+    frame, taming, sample = _field_inputs(data)
     return {"residual": maxwell_residual(sample, frame, taming)}
 
 
 def _field_stress(data, args):
-    frame, taming, sample = _field_inputs(data, args, "stress request")
+    frame, taming, sample = _field_inputs(data, "stress request")
     stress = inner_contraction(sample, sample, frame, taming)
     return {"stress": jsonio.encode_float_matrix(stress)}
 
 
 def _field_scalar_rhs(data, args):
-    frame, taming, sample = _field_inputs(data, args, "scalar-rhs request")
+    frame, taming, sample = _field_inputs(data, "scalar-rhs request")
     psi = jsonio._need(data, "psi", "scalar-rhs request")
     psi = jsonio.decode_fundamental_form(psi)
+    report = validate_fundamental_form(psi, taming)
+    if not report.passed:
+        message = "fundamental form fails: " + report.describe_failures()
+        raise InvalidFundamentalForm(message, report.as_dict())
     lhs = data.get("scalar_lhs")
     if lhs is not None:
         lhs = jsonio.decode_float_vector(lhs, "scalar-rhs request")
@@ -228,7 +230,7 @@ def _field_scalar_rhs(data, args):
 
 
 def _field_transform(data, args):
-    _, taming, sample = _field_inputs(data, args)
+    _, taming, sample = _field_inputs(data)
     gamma = jsonio._need(data, "gamma", "transform request")
     gamma = jsonio.decode_integer_matrix(gamma)
     new_sample, new_taming = duality_transform_sample(gamma, sample, taming)
@@ -306,9 +308,7 @@ def _uduality_centralizer(data, args):
 
 def _uduality_fiber_product(data, args):
     model = jsonio.decode_scalar_model(data)
-    elements = uduality_fiber_product(
-        model, bound=args.bound, tol=args.tol, budget=args.budget
-    )
+    elements = uduality_fiber_product(model, bound=args.bound, budget=args.budget)
     return {
         "bound": args.bound,
         "count": len(elements),
@@ -404,9 +404,6 @@ def build_parser():
         p.add_argument("--json", help="inline JSON input")
         p.add_argument(
             "--output", choices=("json", "text"), default="json", help="output format"
-        )
-        p.add_argument(
-            "--tol", type=lambda x: jsonio.decode_tol(x, "--tol"), help="tolerance override"
         )
 
     for name, actions in COMMANDS.items():

@@ -38,11 +38,21 @@ class NotSymplectic(SiegelKitError):
 
 
 class BadSignature(SiegelKitError):
-    """A point metric is not of signature (-,+,+,+), or a pullback metric not semidefinite."""
+    """A point metric is not symmetric of signature (-,+,+,+).
+
+    Also raised for an orientation other than +1 or -1.
+    """
 
 
 class InvalidFundamentalForm(SiegelKitError):
-    """A fundamental form sample fails validation against its taming."""
+    """A fundamental form sample fails validation against its taming.
+
+    ``report`` is the failing validation report as a dict.
+    """
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
 
 
 class InvalidComplex(SiegelKitError):

@@ -10,9 +10,9 @@ scanning rows then columns; Cohen, GTM 138, 2.4.4) so its output is
 deterministic for a given input. The scan stops at the first unit, the
 entry a full scan would pick, and a unit pivot skips the divisibility
 check of the rest, since it divides every entry. One private
-elimination serves every caller and updates only the transforms the
-caller reads: ``kernel_lattice`` tracks V alone, ``rank`` no
-transform, and ``smith_normal_form`` both U and V. An SNF is used only
+elimination serves both callers and updates only the transforms the
+caller reads: ``kernel_lattice`` tracks V alone, and
+``smith_normal_form`` both U and V. An SNF is used only
 where invariant factors or a kernel basis are the answer; inverses and
 coordinates come from ``left_inverse``, the one fraction-free
 Gauss-Jordan elimination.
@@ -264,7 +264,7 @@ def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
     and takes the first entry of smallest nonzero absolute value, which
     bounds entry growth and makes the output deterministic.
     """
-    _, S, U, Vc = _smith(a, left=True, right=True)
+    _, S, U, Vc = _smith(a, left=True)
     return SnfDecomposition(
         IntegerMatrix._trusted(tuple(map(tuple, U))),
         IntegerMatrix._trusted(tuple(map(tuple, S))),
@@ -280,13 +280,8 @@ def kernel_lattice(a: IntegerMatrix) -> list:
     basis is saturated. Only V is tracked. Returns an empty list when
     the kernel is trivial.
     """
-    r, _, _, Vc = _smith(a, left=False, right=True)
+    r, _, _, Vc = _smith(a, left=False)
     return [tuple(v) for v in Vc[r:]]
-
-
-def rank(a: IntegerMatrix) -> int:
-    """Rank over Q, from a Smith elimination that tracks no transform."""
-    return _smith(a, left=False, right=False)[0]
 
 
 def _identity_rows(n):
@@ -294,13 +289,12 @@ def _identity_rows(n):
     return [zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)]
 
 
-def _smith(a, *, left, right):
+def _smith(a, *, left):
     """The Smith elimination of ``a``: (rank, S, U, V columns).
 
     S and U are lists of rows; V is kept as the list of its columns, so
-    that every column operation on V replaces a whole row. ``left``
-    tracks U, ``right`` tracks V; a transform that is not tracked is
-    None.
+    that every column operation on V replaces a whole row. V is always
+    tracked; ``left`` tracks U, which is None otherwise.
 
     Pivot rule: the first entry of smallest nonzero absolute value,
     scanning the working submatrix rows then columns. No entry is
@@ -308,13 +302,12 @@ def _smith(a, *, left, right):
     value 1. Once the pivot's row and column are cleared, the rest of
     the submatrix is scanned for an entry the pivot does not divide;
     a unit pivot divides them all and skips that scan. The pivots depend
-    on A alone, so S and every tracked transform are the same whichever
-    others are tracked.
+    on A alone, so S and V are the same whether or not U is tracked.
     """
     m, n = a.rows, a.cols
     A = [list(r) for r in a._entries]
     U = _identity_rows(m) if left else None
-    Vc = _identity_rows(n) if right else None
+    Vc = _identity_rows(n)
 
     def row_op(i, j, q):
         # row_i -= q * row_j
@@ -331,14 +324,12 @@ def _smith(a, *, left, right):
         # col_i -= q * col_j
         for row in A:
             row[i] -= q * row[j]
-        if right:
-            Vc[i] = [x - q * y for x, y in zip(Vc[i], Vc[j])]
+        Vc[i] = [x - q * y for x, y in zip(Vc[i], Vc[j])]
 
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        if right:
-            Vc[i], Vc[j] = Vc[j], Vc[i]
+        Vc[i], Vc[j] = Vc[j], Vc[i]
 
     def find_pivot(d):
         best = None

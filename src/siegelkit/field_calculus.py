@@ -16,17 +16,12 @@ import itertools
 
 import numpy as np
 
-from .errors import (
-    BadSignature,
-    DimensionMismatch,
-    InvalidFundamentalForm,
-)
+from .errors import BadSignature, DimensionMismatch
 from .exact_linalg import Frozen, IntegerMatrix
 from .polarization import FundamentalFormSample, Taming, _as_float, push_forward_taming
 
 INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-SCALAR_TOL = 1e-9  # symmetry (relative) and positivity of a pullback metric
 EIGEN_TOL = 1e-8  # distance from +-1 at which a polarized star eigenvalue counts
 
 # The Levi-Civita symbol: the sign of each permutation, by its inversions.
@@ -82,34 +77,6 @@ class FieldStrengthSample(Frozen):
 
     def norm(self):
         return float(np.linalg.norm(self.F))
-
-
-class ScalarSectorSample(Frozen):
-    """Supplied scalar-sector data: pullback metric s*G and optional Einstein left side.
-
-    s*G must be symmetric and positive semidefinite up to SCALAR_TOL.
-    """
-
-    __slots__ = ("pullback_metric", "einstein_lhs")
-
-    def __init__(self, pullback_metric, einstein_lhs=None):
-        pm = np.asarray(pullback_metric, dtype=float)
-        if pm.shape != (4, 4):
-            raise DimensionMismatch("pullback metric must be 4x4")
-        if np.max(np.abs(pm - pm.T)) > SCALAR_TOL * max(1.0, np.max(np.abs(pm))):
-            raise DimensionMismatch("pullback metric must be symmetric")
-        pm = pm / 2.0 + pm.T / 2.0  # halved first, so no finite sum overflows
-        if float(np.min(np.linalg.eigvalsh(pm))) < -SCALAR_TOL:
-            raise BadSignature("pullback metric must be positive semidefinite")
-        pm.flags.writeable = False
-        object.__setattr__(self, "pullback_metric", pm)
-        if einstein_lhs is not None:
-            el = np.array(einstein_lhs, dtype=float)
-            if el.shape != (4, 4):
-                raise DimensionMismatch("einstein_lhs must be 4x4")
-            el.flags.writeable = False
-            einstein_lhs = el
-        object.__setattr__(self, "einstein_lhs", einstein_lhs)
 
 
 def unpack_two_form(column) -> np.ndarray:
@@ -219,7 +186,11 @@ def inner_contraction(
 
 
 def _pairing(F1, F2, frame: PointFrame, Q) -> float:
-    """twisted_pairing on 6 x w arrays whose shapes match each other and Q."""
+    """Q-weighted pairing of two-form samples: sum_ab Q_ab (F1^a, F2^b)_g.
+
+    F1 and F2 are 6 x w arrays whose shapes match each other and Q;
+    (a, b)_g = (1/2) a_{mn} g^{mr} g^{ns} b_{rs}.
+    """
     s1 = _unpack_stack(F1)
     s2 = _unpack_stack(F2)
     return 0.5 * float(
@@ -227,44 +198,9 @@ def _pairing(F1, F2, frame: PointFrame, Q) -> float:
     )
 
 
-def twisted_pairing(
-    F1: FieldStrengthSample, F2: FieldStrengthSample, frame: PointFrame, taming: Taming
-) -> float:
-    """Q-weighted pairing of two-form samples: sum_ab Q_ab (F1^a, F2^b)_g.
-
-    Q is the taming's metric; (a, b)_g = (1/2) a_{mn} g^{mr} g^{ns} b_{rs}.
-    """
-    if F1.F.shape != F2.F.shape:
-        raise DimensionMismatch("samples have different shapes")
-    return _pairing(F1.F, F2.F, frame, _metric(taming, F1.F.shape[1]))
-
-
 def trace_g(frame: PointFrame, h) -> float:
     """Metric trace g^{mn} h_{mn}."""
     return float(np.einsum("mn,mn->", frame.ginv, np.asarray(h, dtype=float)))
-
-
-def einstein_rhs(
-    sample: FieldStrengthSample,
-    frame: PointFrame,
-    taming: Taming,
-    scalar: ScalarSectorSample,
-):
-    """Right hand side of the Einstein equation at a point.
-
-    RHS = (1/2) Tr_g(s*G) g - s*G + 2 F (.)_Q F, with s*G the pullback
-    metric of the validated ScalarSectorSample. Returns (rhs, residual)
-    where residual is the max-abs difference against the sample's
-    Einstein left side, or None when it has none.
-    """
-    sg = scalar.pullback_metric
-    lhs = scalar.einstein_lhs
-    rhs = 0.5 * trace_g(frame, sg) * frame.g - sg
-    rhs = rhs + 2.0 * inner_contraction(sample, sample, frame, taming)
-    residual = None
-    if lhs is not None:
-        residual = float(np.max(np.abs(lhs - rhs)))
-    return rhs, residual
 
 
 def scalar_rhs(
@@ -277,16 +213,12 @@ def scalar_rhs(
     """Right hand side of the scalar equation, one value per vertical direction.
 
     r_k = (1/2) (star F, Psi_k F)_{g,Q}. The star here is the plain
-    Hodge star on the two-form leg. When a contracted left-hand-side
-    sample is supplied, the per-direction residuals are returned as well.
+    Hodge star on the two-form leg. psi is a sample that has passed
+    validate_fundamental_form against the taming, so each component has
+    J's shape. When a contracted left-hand-side sample is supplied, the
+    per-direction residuals are returned as well.
     """
-    width = sample.F.shape[1]
-    Q = _metric(taming, width)
-    for k, P in enumerate(psi.components):
-        if P.shape != (width, width):
-            raise InvalidFundamentalForm(
-                f"component {k} has shape {P.shape}, expected {(width, width)}"
-            )
+    Q = _metric(taming, sample.F.shape[1])
     starF = hodge_star_matrix(frame) @ sample.F
     values = tuple(
         0.5 * _pairing(starF, sample.F @ P.T, frame, Q) for P in psi.components

@@ -113,7 +113,7 @@ def decode_float_vector(obj, where="vector"):
 
 
 def decode_tol(x, where="tolerance") -> float:
-    """A ``"tol"`` field or ``--tol`` value: finite and >= 0 (0 is exact mode)."""
+    """A ``"tol"`` field: finite and >= 0 (0 is exact mode)."""
     tol = decode_float(x, where)
     if tol < 0:
         raise ParseError(f"tolerance must be >= 0, got {x!r} in {where}")
@@ -231,13 +231,10 @@ def encode_taming(tm: Taming) -> dict:
     }
 
 
-def decode_taming(obj, where="taming", tol_override=None) -> Taming:
+def decode_taming(obj, where="taming") -> Taming:
     J = decode_float_matrix(_need(obj, "J", where), where)
     omega = decode_integer_matrix(_need(obj, "omega", where), where)
-    tol = tol_override
-    if tol is None:
-        tol = decode_tol(obj.get("tol", DEFAULT_TOL), where)
-    return Taming(J, omega, tol)
+    return Taming(J, omega, decode_tol(obj.get("tol", DEFAULT_TOL), where))
 
 
 def decode_siegel_point(obj, where="siegel point") -> SiegelPoint:

@@ -87,6 +87,12 @@ class TamingReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
+    def describe_failures(self):
+        """The failing checks as "name (residual r)", comma separated."""
+        return ", ".join(
+            f"{c.name} (residual {c.residual:.3e})" for c in self.failures()
+        )
+
     def as_dict(self):
         return {
             "passed": self.passed,
@@ -148,12 +154,7 @@ class Taming(Frozen):
         Jm.flags.writeable = False
         report = validate_taming(Jm, omega, tol)
         if not report.passed:
-            raise InvalidTaming(
-                "taming axioms fail: "
-                + ", ".join(
-                    f"{c.name} (residual {c.residual:.3e})" for c in report.failures()
-                )
-            )
+            raise InvalidTaming("taming axioms fail: " + report.describe_failures())
         Q = _as_float(omega) @ Jm
         Q.flags.writeable = False
         object.__setattr__(self, "J", Jm)
@@ -305,17 +306,3 @@ def validate_fundamental_form(
         )
     return FundamentalFormReport(checks, unitary=psi.is_zero())
 
-
-def fundamental_projection(M, taming: Taming) -> np.ndarray:
-    """Project a matrix onto the J-antilinear, Q-symmetric endomorphisms.
-
-    Useful for building valid fundamental form samples from arbitrary
-    seeds: P1(M) = (M + J M J)/2 anticommutes with J, and the Q-adjoint
-    symmetrization commutes with P1 because J is Q-antisymmetric.
-    """
-    Mm = _as_float(M)
-    J = taming.J
-    Q = taming.Q
-    Qinv = np.linalg.inv(Q)
-    A = 0.5 * (Mm + J @ Mm @ J)
-    return 0.5 * (A + Qinv @ A.T @ Q)

@@ -335,7 +335,8 @@ def test_fiber_product_budget_refusal_is_structured(n, bound, budget, capsys):
     payload = _two_point_payload(n, IntegerMatrix.identity(2 * n))
     argv = ["uduality", "fiber-product", "--bound", str(bound), "--budget", str(budget)]
     # tol 10 admits every box column, so the search is the whole box's.
-    code, out = _run_main(argv + ["--tol", "10", "--json", json.dumps(payload)], capsys)
+    loose = {**payload, "tol": 10}
+    code, out = _run_main(argv + ["--json", json.dumps(loose)], capsys)
     assert code == 3
     assert set(out) == {"error", "kind", "budget", "tested"}
     assert out["kind"] == "BoundTooLargeForBudget"
@@ -423,7 +424,7 @@ _FIELD = {
     "frame": {"g": np.diag([-1.0, 1.0, 1.0, 1.0]).tolist(), "orientation": 1},
     "taming": _TAMING,
     "F_sample": {"F": np.zeros((6, 2)).tolist()},
-    "psi": {"components": [np.eye(2).tolist()]},
+    "psi": {"components": [np.diag([1.0, -1.0]).tolist()]},
 }
 
 
@@ -449,26 +450,63 @@ def test_malformed_numbers_exit_one(argv, payload, capsys):
     assert out["error"].startswith(("bad number", "expected a list"))
 
 
+def test_scalar_rhs_refuses_a_fundamental_form_that_commutes_with_j(capsys):
+    """psi = I is not J-antilinear: exit 2 with the failing report."""
+    payload = {**_FIELD, "psi": {"components": [np.eye(2).tolist()]}}
+    code, out = _run_main(["field", "scalar-rhs", "--json", json.dumps(payload)], capsys)
+    assert code == 2
+    assert out == {
+        "error": "fundamental form fails: antilinear[0] (residual 2.000e+00)",
+        "kind": "InvalidFundamentalForm",
+        "report": {
+            "passed": False,
+            "unitary": False,
+            "checks": [
+                {"name": "antilinear[0]", "passed": False, "residual": 2.0},
+                {"name": "q_symmetric[0]", "passed": True, "residual": 0.0},
+            ],
+        },
+    }
+
+
+def test_scalar_rhs_component_of_another_shape_exits_one(capsys):
+    payload = {**_FIELD, "psi": {"components": [np.eye(4).tolist()]}}
+    code, out = _run_main(["field", "scalar-rhs", "--json", json.dumps(payload)], capsys)
+    assert code == 1
+    assert out == {
+        "error": "component 0 has shape (4, 4), taming has (2, 2)",
+        "kind": "DimensionMismatch",
+    }
+
+
 _ONE_POINT = {"points": 1, "isometries": [[0]], "omega": _TAMING["omega"], "tamings": [_TAMING["J"]]}
 
 
 @pytest.mark.parametrize(
     "argv,payload",
     [
-        (["uduality", "fiber-product", "--bound", "1", "--tol=nan"], _ONE_POINT),
-        (["uduality", "fiber-product", "--bound", "1", "--tol=-1"], _ONE_POINT),
-        (["uduality", "fiber-product", "--bound", "1", "--tol", "abc"], _ONE_POINT),
+        (["uduality", "fiber-product", "--bound", "1"], {**_ONE_POINT, "tol": "nan"}),
+        (["uduality", "fiber-product", "--bound", "1"], {**_ONE_POINT, "tol": "-1"}),
+        (["uduality", "fiber-product", "--bound", "1"], {**_ONE_POINT, "tol": "abc"}),
         (["uduality", "fiber-product", "--bound", "1", "--budget", "abc"], _ONE_POINT),
         (["uduality", "fiber-product", "--bound", "x"], _ONE_POINT),
         (["uduality", "fiber-product", "--bound", "1"], {**_ONE_POINT, "tol": -1}),
         (["taming", "validate"], {**_TAMING, "tol": -1}),
         (["taming", "validate", "--tol=-1e-9"], _TAMING),
+        (["taming", "push", "--tol", "1"], {"taming": _TAMING, "gamma": _TAMING["omega"]}),
+        (["field", "scalar-rhs", "--tol", "1"], _FIELD),
+        (["uduality", "fiber-product", "--bound", "1", "--tol", "0"], _ONE_POINT),
     ],
     ids=["tol-nan", "tol-negative", "tol-text", "budget-text", "bound-text",
-         "model-tol-negative", "json-tol-negative", "option-tol-negative"],
+         "model-tol-negative", "json-tol-negative", "option-tol-negative",
+         "option-tol-push", "option-tol-field", "option-tol-fiber-product"],
 )
 def test_bad_option_and_tol_values_exit_one(argv, payload, capsys):
-    """Option values and JSON tolerances: one JSON error line, exit 1."""
+    """Option values and JSON tolerances: one JSON error line, exit 1.
+
+    The JSON "tol" field is the one way to pass a tolerance: a --tol
+    option is an unknown argument.
+    """
     code = cli.main(argv + ["--json", json.dumps(payload)])
     captured = capsys.readouterr()
     assert code == 1
@@ -607,7 +645,7 @@ def test_orientation_digit_string_is_an_integer(orientation, capsys):
 
 
 def test_tol_zero_is_exact_mode(capsys):
-    argv = ["uduality", "fiber-product", "--bound", "1", "--tol", "0", "--json", json.dumps(_ONE_POINT)]
+    argv = ["uduality", "fiber-product", "--bound", "1", "--json", json.dumps({**_ONE_POINT, "tol": 0})]
     code, out = _run_main(argv, capsys)
     assert code == 0
     assert out["count"] == 4 and out["closure"]["closed"]

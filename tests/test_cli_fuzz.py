@@ -97,7 +97,7 @@ VALID = {
     ("field", "project"): FIELD,
     ("field", "residual"): FIELD,
     ("field", "stress"): FIELD,
-    ("field", "scalar-rhs"): {**FIELD, "psi": {"components": [[[1.0, 0.0], [0.0, 1.0]]]}},
+    ("field", "scalar-rhs"): {**FIELD, "psi": {"components": [[[1.0, 0.0], [0.0, -1.0]]]}},
     ("field", "transform"): FIELD_GAMMA,
     ("cohomology", "validate"): TORUS,
     ("cohomology", "compute"): TORUS,

@@ -16,7 +16,6 @@ from siegelkit.exact_linalg import (
     inverse_unimodular,
     kernel_lattice,
     left_inverse,
-    rank,
     rational_rref,
     rational_solve_many,
     smith_normal_form,
@@ -25,7 +24,6 @@ from siegelkit.field_calculus import (
     FieldStrengthSample,
     PointFrame,
     PolarizedStar,
-    ScalarSectorSample,
 )
 from siegelkit.local_systems import (
     ChargeClass,
@@ -136,7 +134,7 @@ def _snf_sweep(rng):
 
 
 def test_snf_elimination_against_oracles():
-    """Full SNF, kernel-only and rank-only eliminations agree with each other and sympy."""
+    """Full SNF and kernel-only eliminations agree with each other and sympy."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -146,7 +144,6 @@ def test_snf_elimination_against_oracles():
         assert snf.U * A * snf.V == snf.S
         r = snf.rank()
         assert kernel_lattice(A) == [snf.V.column_vector(j) for j in range(r, A.cols)]
-        assert rank(A) == r
         expected = sympy_snf(sympy.Matrix(A.to_lists()), domain=sympy.ZZ)
         diag = (abs(int(expected[i, i])) for i in range(min(A.rows, A.cols)))
         assert snf.invariant_factors() == tuple(d for d in diag if d != 0)
@@ -250,27 +247,13 @@ def _pivot_sweep(rng):
 
 
 def test_unit_pivots_match_the_full_scan():
-    """U, S, V, kernel and rank equal the full-scan elimination, 300 inputs."""
+    """U, S, V and kernel equal the full-scan elimination, 300 inputs."""
     rng = random.Random(2610)
     for A in _pivot_sweep(rng):
         r, U, S, V = reference_smith(A)
         snf = smith_normal_form(A)
         assert (snf.U.to_lists(), snf.S.to_lists(), snf.V.to_lists()) == (U, S, V), A
         assert kernel_lattice(A) == [tuple(row[j] for row in V) for j in range(r, A.cols)]
-        assert rank(A) == r
-
-
-def test_rank_matches_rational_rank():
-    rng = random.Random(7)
-    for _ in range(50):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        A = IntegerMatrix(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
-        # Independent rank oracle: rational row reduction.
-        _, piv = rational_rref(A.to_lists())
-        assert rank(A) == len(piv)
 
 
 def test_inverse_unimodular():
@@ -332,7 +315,7 @@ def test_left_inverse_matches_fraction_pseudo_inverse(m, r):
     for _ in range(10):
         while True:
             vecs = [tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(r)]
-            if rank(IntegerMatrix(vecs)) == r:
+            if len(rational_rref(vecs)[1]) == r:
                 break
         D, N = left_inverse(vecs)
         gram = IntegerMatrix(vecs) * IntegerMatrix(vecs).transpose()
@@ -382,7 +365,6 @@ VALUE_TYPES = (
     "FundamentalFormSample",
     "PointFrame",
     "FieldStrengthSample",
-    "ScalarSectorSample",
     "PolarizedStar",
     "TwistedComplex",
     "CohomologyResult",
@@ -417,7 +399,6 @@ def _value_types():
         FundamentalFormSample([np.zeros((2, 2))]),
         frame,
         FieldStrengthSample(np.zeros((6, 2))),
-        ScalarSectorSample(np.zeros((4, 4))),
         PolarizedStar(frame, taming),
         sphere,
         twisted_cohomology(sphere, 2),

@@ -9,23 +9,20 @@ from siegelkit.field_calculus import (
     FieldStrengthSample,
     PointFrame,
     PolarizedStar,
-    ScalarSectorSample,
     duality_transform_sample,
-    einstein_rhs,
     hodge_star_matrix,
     inner_contraction,
     maxwell_residual,
     project_selfdual,
     scalar_rhs,
     trace_g,
-    twisted_pairing,
     unpack_two_form,
 )
 from siegelkit.polarization import (
     FundamentalFormSample,
     Taming,
-    fundamental_projection,
     standard_taming_matrix,
+    validate_fundamental_form,
 )
 from siegelkit.sampling import (
     random_field_sample,
@@ -99,21 +96,20 @@ def test_flat_field_sample_is_a_dimension_mismatch(size):
         FieldStrengthSample(np.ones(size))
 
 
-def test_scalar_sample_refuses_an_indefinite_metric():
-    with pytest.raises(BadSignature, match="^pullback metric must be positive semidefinite$"):
-        ScalarSectorSample(-np.eye(4))
-
-
-def test_scalar_sample_near_the_float_range():
-    """The metric is symmetrized halved first, so no finite sum overflows."""
-    sample = ScalarSectorSample(np.diag([1e308, 1e308, 1.0, 1.0]))
-    assert np.array_equal(sample.pullback_metric, np.diag([1e308, 1e308, 1.0, 1.0]))
-    assert sample.einstein_lhs is None
-
-
 def _standard_pair(n=1):
     t = LatticeType.principal(n)
     return Taming(standard_taming_matrix(n), standard_gram(t), 0.0)
+
+
+def _fundamental_projection(M, taming):
+    """A J-antilinear, Q-symmetric component built from any square M.
+
+    (M + J M J)/2 anticommutes with J, and its Q-adjoint symmetrization
+    keeps that, because J is Q-antisymmetric.
+    """
+    J, Q = taming.J, taming.Q
+    A = 0.5 * (M + J @ M @ J)
+    return 0.5 * (A + np.linalg.inv(Q) @ A.T @ Q)
 
 
 def test_polarized_star_squares_to_identity():
@@ -193,25 +189,6 @@ def test_inner_contraction_zero_and_symmetry():
         assert np.max(np.abs(S - S.T)) <= 1e-12 * max(1.0, F.norm() ** 2)
 
 
-def test_twisted_pairing_examples():
-    tm = _standard_pair(1)
-    rng = random.Random(8)
-    F = random_field_sample(rng, 1)
-    zero = FieldStrengthSample(np.zeros((6, 2)))
-    assert twisted_pairing(F, zero, MINKOWSKI, tm) == 0.0
-    # basis two-form against itself: its wedge-metric norm times Q_aa
-    basis = np.zeros((6, 2))
-    basis[5, 0] = 1.0  # dy^dz in the first duality slot
-    Fb = FieldStrengthSample(basis)
-    assert abs(twisted_pairing(Fb, Fb, MINKOWSKI, tm) - 1.0) <= 1e-12
-    for _ in range(50):
-        F1 = random_field_sample(rng, 1)
-        F2 = random_field_sample(rng, 1)
-        a = twisted_pairing(F1, F2, MINKOWSKI, tm)
-        b = twisted_pairing(F2, F1, MINKOWSKI, tm)
-        assert abs(a - b) <= 1e-12
-
-
 def test_tracelessness_of_selfdual_stress():
     rng = random.Random(9)
     for _ in range(100):
@@ -224,30 +201,6 @@ def test_tracelessness_of_selfdual_stress():
         assert abs(trace_g(frame, S)) <= 1e-9 * max(1.0, F.norm() ** 2)
 
 
-def test_einstein_rhs_examples():
-    tm = _standard_pair(1)
-    zeroF = FieldStrengthSample(np.zeros((6, 2)))
-    rhs, residual = einstein_rhs(zeroF, MINKOWSKI, tm, ScalarSectorSample(np.zeros((4, 4))))
-    assert np.array_equal(rhs, np.zeros((4, 4)))
-    assert residual is None
-    # s*G = I gives (1/2) Tr_g(I) g - I = g - I, since Tr_g(I) = -1 + 3 = 2
-    rhs2, _ = einstein_rhs(zeroF, MINKOWSKI, tm, ScalarSectorSample(np.eye(4)))
-    assert np.allclose(rhs2, MINKOWSKI.g - np.eye(4))
-    # supplied left side reports a residual
-    sample = ScalarSectorSample(np.zeros((4, 4)), einstein_lhs=np.zeros((4, 4)))
-    _, residual3 = einstein_rhs(zeroF, MINKOWSKI, tm, sample)
-    assert residual3 == 0.0
-
-
-def test_einstein_selfdual_term_traceless():
-    rng = random.Random(10)
-    tm = _standard_pair(1)
-    for _ in range(20):
-        F = random_selfdual_sample(rng, MINKOWSKI, tm)
-        rhs, _ = einstein_rhs(F, MINKOWSKI, tm, ScalarSectorSample(np.zeros((4, 4))))
-        assert abs(trace_g(MINKOWSKI, rhs)) <= 1e-9 * max(1.0, F.norm() ** 2)
-
-
 def test_scalar_rhs_unitary_and_zero_field():
     rng = random.Random(11)
     tm = _standard_pair(1)
@@ -256,7 +209,7 @@ def test_scalar_rhs_unitary_and_zero_field():
     values, residuals = scalar_rhs(F, MINKOWSKI, tm, psi0)
     assert values == (0.0, 0.0)
     assert residuals is None
-    P = fundamental_projection(np.array([[0.3, 0.7], [-0.2, 0.5]]), tm)
+    P = _fundamental_projection(np.array([[0.3, 0.7], [-0.2, 0.5]]), tm)
     psi = FundamentalFormSample([P])
     zeroF = FieldStrengthSample(np.zeros((6, 2)))
     assert scalar_rhs(zeroF, MINKOWSKI, tm, psi)[0] == (0.0,)
@@ -270,9 +223,10 @@ def test_scalar_rhs_brute_force_oracle():
         frame = random_lorentz_frame(rng)
         tm = random_taming(rng, t, eps=0.5)
         Q = tm.Q
-        P = fundamental_projection(
+        P = _fundamental_projection(
             np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]), tm
         )
+        assert validate_fundamental_form(FundamentalFormSample([P]), tm, tol=1e-8).passed
         F = random_selfdual_sample(rng, frame, tm)
         values, _ = scalar_rhs(F, frame, tm, FundamentalFormSample([P]))
         starF = hodge_star_matrix(frame) @ F.F
@@ -349,20 +303,8 @@ def test_duality_invariance_of_residual_and_stress():
         assert np.max(np.abs(s1 - s2)) <= 1e-9
 
 
-def test_scalar_sample_freezes_a_copy_of_einstein_lhs():
-    lhs = np.zeros((4, 4))
-    sample = ScalarSectorSample(np.zeros((4, 4)), einstein_lhs=lhs)
-    assert lhs.flags.writeable and not sample.einstein_lhs.flags.writeable
-    lhs[0, 0] = 1.0
-    assert sample.einstein_lhs[0, 0] == 0.0
-
-
 _WIDTH_CHECKED = {
     "inner_contraction": lambda F, tm: inner_contraction(F, F, MINKOWSKI, tm),
-    "twisted_pairing": lambda F, tm: twisted_pairing(F, F, MINKOWSKI, tm),
-    "einstein_rhs": lambda F, tm: einstein_rhs(
-        F, MINKOWSKI, tm, ScalarSectorSample(np.zeros((4, 4)))
-    ),
     "scalar_rhs": lambda F, tm: scalar_rhs(
         F, MINKOWSKI, tm, FundamentalFormSample([np.zeros((2, 2))])
     ),
