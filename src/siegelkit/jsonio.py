@@ -12,6 +12,8 @@ Python's int/str digit limit (``sys.get_int_max_str_digits()``, 4300
 by default) bounds every integer read, so longer input is refused.
 Output is written whole: an answer computed from such integers can be
 longer than the limit (see whole_integers).
+A decoder turns only a constructor's ValueError or TypeError into a
+ParseError; library refusals reach the CLI with their kind and exit code.
 """
 
 import math
@@ -185,7 +187,7 @@ def decode_space(obj, where="space") -> IntegralSymplecticSpace:
     gram = decode_integer_matrix(_need(obj, "gram", where), where)
     try:
         space = IntegralSymplecticSpace(gram)
-    except Exception as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"bad symplectic space in {where}: {exc}") from None
     if "n" in obj and decode_integer(obj["n"], where) != space.n:
         raise ParseError(f"rank mismatch in {where}")
@@ -206,7 +208,7 @@ def decode_aff(obj, where="affine element") -> AffineSymplectomorphism:
     rotation = decode_integer_matrix(_need(obj, "rotation", where), where)
     try:
         return AffineSymplectomorphism(translation, rotation, t)
-    except Exception as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"bad affine element in {where}: {exc}") from None
 
 
@@ -319,7 +321,7 @@ def decode_complex(obj, where="complex") -> TwistedComplex:
         words = (by_face.get(f) for f in range(n_faces))
     try:
         return TwistedComplex(cells, boundaries, transports, t, words)
-    except Exception as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"bad twisted complex in {where}: {exc}") from None
 
 
@@ -335,7 +337,7 @@ def decode_holonomy(obj, where="holonomy") -> HolonomySubgroup:
     ]
     try:
         return HolonomySubgroup(gens, t)
-    except Exception as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"bad holonomy subgroup in {where}: {exc}") from None
 
 
@@ -353,7 +355,7 @@ def decode_scalar_model(obj, where="scalar model") -> FiniteScalarModel:
     ]
     try:
         return FiniteScalarModel(points, isometries, tamings)
-    except Exception as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"bad scalar model in {where}: {exc}") from None
 
 

@@ -2,8 +2,13 @@
 
 Every function takes an explicit ``random.Random`` so that the CLI
 selftest and the test suite are reproducible: one seed fixes the whole
-transcript.
+transcript. Which ``rng`` calls each generator makes, in which order,
+is part of that contract: the selftest transcript and every benchmark
+workload depend on it (tests/test_sampling.py pins it).
 """
+
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -22,48 +27,45 @@ def random_lattice_type(rng, n: int) -> LatticeType:
 
 
 def random_unimodular(rng, size: int, steps: int = 8, entry_bound: int = 60):
-    """A random product of elementary row operations with bounded entries."""
-    M = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    """A random product of elementary row operations with bounded entries.
+
+    Every step keeps max|M| <= max(1, entry_bound), so the new row, never
+    zero, alone decides whether a row addition stays within the bound.
+    """
+    M = IntegerMatrix.identity(size).to_lists()
     for _ in range(steps):
         kind = rng.randrange(3)
-        i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
         if size == 1:
             break
+        i, j = rng.sample(range(size), 2)
         if kind == 0:
             c = rng.choice([-2, -1, 1, 2])
-            cand = [row[:] for row in M]
-            cand[i] = [x + c * y for x, y in zip(cand[i], cand[j])]
-            if max(abs(x) for row in cand for x in row) <= entry_bound:
-                M = cand
+            row = [x + c * y for x, y in zip(M[i], M[j])]
+            if max(map(abs, row)) <= entry_bound:
+                M[i] = row
         elif kind == 1:
             M[i], M[j] = M[j], [-x for x in M[i]]
         else:
             for r in range(size):
                 M[r][i], M[r][j] = M[r][j], -M[r][i]
-    return IntegerMatrix(M)
-
-
-_SL2_S = IntegerMatrix([[0, -1], [1, 0]])
-_SL2_T = IntegerMatrix([[1, 1], [0, 1]])
+    return IntegerMatrix._trusted(tuple(map(tuple, M)))
 
 
 def random_sl2z(rng, length: int = 6) -> IntegerMatrix:
-    """A random word in the standard generators of SL(2, Z)."""
-    out = IntegerMatrix.identity(2)
+    """A random word in S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], powers +-1, +-2."""
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(length):
-        gen = rng.choice([_SL2_S, _SL2_T])
+        gen = rng.choice("ST")
         power = rng.choice([-2, -1, 1, 2])
-        step = gen if power > 0 else IntegerMatrix([[gen[1, 1], -gen[0, 1]],
-                                                    [-gen[1, 0], gen[0, 0]]])
-        for _ in range(abs(power)):
-            out = out * step
-    return out
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
+        if gen == "T":
+            b, d = b + power * a, d + power * c
+        elif power in (-2, 2):
+            a, b, c, d = -a, -b, -c, -d
+        elif power == 1:
+            a, b, c, d = b, -a, d, -c
+        else:
+            a, b, c, d = -b, a, -d, c
+    return IntegerMatrix._trusted(((a, b), (c, d)))
 
 
 def _shear_block(rng, t: LatticeType):
@@ -73,10 +75,15 @@ def _shear_block(rng, t: LatticeType):
     for i in range(n):
         for j in range(i, n):
             c = rng.choice([-1, 0, 0, 1])
-            v = c * _lcm(t.entries[i], t.entries[j])
+            v = c * lcm(t.entries[i], t.entries[j])
             M[i][j] = v
             M[j][i] = v
     return [[M[i][j] // t.entries[i] for j in range(n)] for i in range(n)]
+
+
+def _times(x, M):
+    """The row vector x M."""
+    return [sum(map(mul, x, col)) for col in zip(*M)]
 
 
 def random_sp_t_element(
@@ -89,50 +96,38 @@ def random_sp_t_element(
     symmetric, and diagonal blocks diag(A, T^{-1} A^{-T} T) for lower
     triangular unimodular A (integrality uses the divisor chain).
     Steps that would push entries past the bound are skipped so the
-    float-mode taming tolerances stay meaningful.
+    float-mode taming tolerances stay meaningful. A step maps each row
+    (x, y) of the product to (y, -x), (x, y + x B), (x + y C, y) or
+    (x A, y D); A^{-1} comes by forward substitution.
     """
     n = t.n
-    ident = IntegerMatrix.identity(n)
-    zero = IntegerMatrix.zeros(n, n)
-
-    def blocks(a, b, c, d):
-        rows = []
-        for i in range(n):
-            rows.append(list(a.row(i)) + list(b.row(i)))
-        for i in range(n):
-            rows.append(list(c.row(i)) + list(d.row(i)))
-        return IntegerMatrix(rows)
-
-    out = IntegerMatrix.identity(2 * n)
+    rows = IntegerMatrix.identity(2 * n).to_lists()
     for _ in range(steps):
         kind = rng.randrange(4)
         if kind == 0:
-            g = blocks(zero, -ident, ident, zero)
+            cand = [r[n:] + [-x for x in r[:n]] for r in rows]
         elif kind == 1:
-            g = blocks(ident, IntegerMatrix(_shear_block(rng, t)), zero, ident)
+            B = _shear_block(rng, t)
+            cand = [r[:n] + [y + z for y, z in zip(r[n:], _times(r[:n], B))] for r in rows]
         elif kind == 2:
-            g = blocks(ident, zero, IntegerMatrix(_shear_block(rng, t)), ident)
+            C = _shear_block(rng, t)
+            cand = [[x + z for x, z in zip(r[:n], _times(r[n:], C))] + r[n:] for r in rows]
         else:
             A = [[0] * n for _ in range(n)]
             for i in range(n):
                 A[i][i] = rng.choice([1, -1])
                 for j in range(i):
                     A[i][j] = rng.choice([-1, 0, 0, 1])
-            Am = IntegerMatrix(A)
-            from .exact_linalg import inverse_unimodular
-
-            Ainv_t = inverse_unimodular(Am).transpose()
-            D = [
-                [
-                    Ainv_t[i, j] * t.entries[j] // t.entries[i]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            g = blocks(Am, zero, zero, IntegerMatrix(D))
-        cand = out * g
-        if cand.max_abs() <= entry_bound:
-            out = cand
+            Ainv = [[0] * n for _ in range(n)]
+            for j in range(n):
+                for i in range(j, n):
+                    s = (i == j) - sum(A[i][k] * Ainv[k][j] for k in range(j, i))
+                    Ainv[i][j] = A[i][i] * s
+            D = [[Ainv[j][i] * t.entries[j] // t.entries[i] for j in range(n)] for i in range(n)]
+            cand = [_times(r[:n], A) + _times(r[n:], D) for r in rows]
+        if max(abs(x) for r in cand for x in r) <= entry_bound:
+            rows = cand
+    out = IntegerMatrix._trusted(tuple(map(tuple, rows)))
     assert sp_type_membership(out, t), "generator construction broke symplecticity"
     return out
 

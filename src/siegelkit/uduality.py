@@ -522,8 +522,11 @@ def uduality_fiber_product(
     against it. Each point p costs one batched numpy step,
     U J(p) U^{-1} for all candidates at once, with U^{-1} the exact
     symplectic inverse; a pair is kept when every point's residual has
-    max abs at most tol. Output is ordered by isometry, then by the
-    row-major entries of U.
+    max abs at most tol: by default the tamings' largest tol, at least
+    1e-9, so a tol 0 model, validated exactly, still allows 1e-9 of
+    float round-off (the CLI never passes tol; it is the tests' knob
+    for the norm-filter sweeps). Output is ordered by isometry, then by
+    the row-major entries of U.
 
     The lattice type is read from the tamings' omega, which must be
     Omega_t for a divisor chain t (NotSymplectic otherwise); a t that is

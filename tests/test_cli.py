@@ -297,6 +297,21 @@ def _run_main(argv, capsys):
     return code, json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "entries,code,error,kind",
+    [
+        ([[0, 1], [1, 0]], 2, "Gram matrix is not antisymmetric", "NotAntisymmetric"),
+        ([[0, 0], [0, 0]], 2, "symplectic Gram matrix is degenerate", "DegenerateForm"),
+        ([[0, 1, 0], [-1, 0, 0]], 1, "Gram matrix must be square of even size", "DimensionMismatch"),
+    ],
+    ids=["symmetric", "zero", "two-by-three"],
+)
+def test_refused_gram_keeps_its_kind(entries, code, error, kind, capsys):
+    """The space decoder passes the library's refusal on to the exit code."""
+    argv = ["lattice", "type", "--json", json.dumps({"gram": {"entries": entries}})]
+    assert _run_main(argv, capsys) == (code, {"error": error, "kind": kind})
+
+
 def test_centralizer_budget_refusal_is_structured(capsys):
     payload = {"generators": [jsonio.encode_integer_matrix(IntegerMatrix.identity(2))], "t": [1]}
     argv = ["uduality", "centralizer", "--bound", "40", "--budget", "10", "--json", json.dumps(payload)]

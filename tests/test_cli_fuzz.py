@@ -232,38 +232,53 @@ def _with(request, path, value):
     return request
 
 
-# Inputs that once ended in a traceback or in a silent NaN or truncation.
-REFUSED = [
-    ("field", "star", ("frame", "g", 0, 3), "-inf"),
-    ("taming", "validate", ("J",), [["nan", "0"], ["0", "nan"]]),
-    ("taming", "validate", ("J",), [[True, -1], [1, False]]),
-    ("taming", "validate", ("J",), [[None, -1], [1, 0]]),
-    ("taming", "validate", ("J",), [["1e400", -1], [1, 0]]),
-    ("taming", "validate", ("tol",), 10**400),
-    ("uduality", "commutant", ("generators",), 3),
-    ("uduality", "centralizer", ("generators",), 3),
-    ("uduality", "fiber-product", ("tamings",), 3),
-    ("uduality", "fiber-product", ("points",), 10**9),
-    ("cohomology", "compute", ("boundaries",), 3),
-    ("cohomology", "validate", ("transports",), 3),
-    ("cohomology", "charge-lattice", ("transports",), None),
-    ("cohomology", "validate", ("words",), 3),
-    ("cohomology", "compute", ("cells",), [1, 10**21]),
-    ("cohomology", "compute", ("cells",), [1, 10**9, 1]),
-    ("cohomology", "dsz", ("complex", "cells"), [1, 2, 10**21]),
+# Inputs that once ended in a traceback or in a silent NaN or truncation,
+# each with the kind of its validation refusal (exit 2), or None for
+# malformed input (exit 1). A test id keeps the input's index here.
+FIXED = [
+    ("field", "star", ("frame", "g", 0, 3), "-inf", None),
+    ("taming", "validate", ("J",), [["nan", "0"], ["0", "nan"]], None),
+    ("taming", "validate", ("J",), [[True, -1], [1, False]], None),
+    ("taming", "validate", ("J",), [[None, -1], [1, 0]], None),
+    ("taming", "validate", ("J",), [["1e400", -1], [1, 0]], None),
+    ("taming", "validate", ("tol",), 10**400, None),
+    ("uduality", "commutant", ("generators",), 3, None),
+    ("uduality", "centralizer", ("generators",), 3, None),
+    ("uduality", "fiber-product", ("tamings",), 3, None),
+    ("uduality", "fiber-product", ("points",), 10**9, "InvalidModel"),
+    ("cohomology", "compute", ("boundaries",), 3, None),
+    ("cohomology", "validate", ("transports",), 3, None),
+    ("cohomology", "charge-lattice", ("transports",), None, None),
+    ("cohomology", "validate", ("words",), 3, None),
+    ("cohomology", "compute", ("cells",), [1, 10**21], None),
+    ("cohomology", "compute", ("cells",), [1, 10**9, 1], "InvalidComplex"),
+    ("cohomology", "dsz", ("complex", "cells"), [1, 2, 10**21], "InvalidComplex"),
 ]
 
 
-@pytest.mark.parametrize(
-    "command,action,path,value",
-    REFUSED,
-    ids=[f"{c}-{a}-{'.'.join(map(str, p))}-{i}" for i, (c, a, p, _) in enumerate(REFUSED)],
-)
-def test_fixed_inputs_exit_one_with_one_json_line(command, action, path, value):
+def _fixed(exit_two):
+    cases = [(i, *case) for i, case in enumerate(FIXED) if (case[-1] is not None) == exit_two]
+    ids = [f"{c}-{a}-{'.'.join(map(str, p))}-{i}" for i, c, a, p, *_ in cases]
+    return pytest.mark.parametrize(
+        "command,action,path,value,kind", [case[1:] for case in cases], ids=ids
+    )
+
+
+@_fixed(exit_two=False)
+def test_fixed_inputs_exit_one_with_one_json_line(command, action, path, value, kind):
     request = _with(VALID[command, action], path, value)
     code, text = _answer([command, action, "--json", json.dumps(request)])
     assert code == 1
     assert set(_one_json_line(text)) == {"error"}
+
+
+@_fixed(exit_two=True)
+def test_fixed_inputs_exit_two_with_their_kind(command, action, path, value, kind):
+    request = _with(VALID[command, action], path, value)
+    code, text = _answer([command, action, "--json", json.dumps(request)])
+    assert code == 2
+    payload = _one_json_line(text)
+    assert payload.keys() == {"error", "kind"} and payload["kind"] == kind
 
 
 def test_deeply_nested_input_exits_one():
